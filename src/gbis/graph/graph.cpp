@@ -60,4 +60,12 @@ bool Graph::validate() const {
   return ew_sum == total_edge_weight_;
 }
 
+Weight max_weighted_degree(const Graph& g) {
+  Weight max_wdeg = 1;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    max_wdeg = std::max(max_wdeg, g.weighted_degree(v));
+  }
+  return max_wdeg;
+}
+
 }  // namespace gbis

@@ -114,4 +114,9 @@ class Graph {
   Weight total_edge_weight_ = 0;
 };
 
+/// Largest weighted degree over all vertices, and at least 1. Bounds
+/// every single-vertex move gain, so it sizes the gain-bucket range of
+/// the KL, FM, k-way FM and path-optimization refiners.
+Weight max_weighted_degree(const Graph& g);
+
 }  // namespace gbis

@@ -107,10 +107,7 @@ Weight kl_pass(Bisection& bisection, KlStats* stats,
   if (n < 2) return 0;
 
   // Max |gain| is bounded by the largest weighted degree.
-  Weight max_gain = 1;
-  for (Vertex v = 0; v < n; ++v) {
-    max_gain = std::max(max_gain, g.weighted_degree(v));
-  }
+  const Weight max_gain = max_weighted_degree(g);
 
   GainBuckets buckets[2] = {GainBuckets(n, max_gain),
                             GainBuckets(n, max_gain)};

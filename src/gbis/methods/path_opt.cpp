@@ -3,6 +3,7 @@
 #include <cstddef>
 
 #include "gbis/obs/metrics.hpp"
+#include "gbis/partition/buckets.hpp"
 #include "gbis/partition/gains.hpp"
 
 namespace gbis {
@@ -10,38 +11,37 @@ namespace gbis {
 Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
                      const PathOptOptions& options) {
   const Graph& g = bisection.graph();
-  const std::size_t n = g.num_vertices();
+  const std::uint32_t n = g.num_vertices();
   const Weight cut_before = bisection.cut();
 
   // Virtual flip state: `sides` and `gains` track the partition as if
-  // the sequence's flips had been applied. Unlocked vertices never
-  // flip before they are picked, so an unlocked vertex's virtual side
-  // is its real side and the `required` test below reads `sides`
-  // directly.
+  // the sequence's flips had been applied.
   std::vector<std::uint8_t> sides(bisection.sides().begin(),
                                   bisection.sides().end());
   std::vector<Weight> gains = all_gains(bisection);
-  std::vector<std::uint8_t> locked(n, 0);
 
-  // Walk stamps: every flip restamps its neighbors with a fresh clock
-  // tick (one tick per neighbor, so later updates always outrank
-  // earlier ones). Gain ties then prefer the highest stamp — the
-  // vertex the sequence touched most recently, which is a neighbor of
+  // The unlocked vertices, in one LIFO gain-bucket set per side (a
+  // vertex stays in its starting side's set until the pick removes, and
+  // so locks, it). Every flip re-buckets its unlocked neighbors at a
+  // bucket head — each gain moves by a nonzero ±2w — so gain ties go
+  // to the vertex the sequence touched most recently, a neighbor of
   // the last flip whenever one is eligible. This is Berry & Goldberg's
   // near-greedy walk as a *bias* instead of a restriction: the
   // sequence follows edges while the walk stays gain-optimal and
-  // teleports to the global best otherwise. (It is also exactly the
-  // locality KL inherits from its LIFO gain buckets; with first-scan
-  // ties instead, the planted and ladder classes stall 2-3x above
-  // KL's local optima.)
-  std::vector<std::uint64_t> stamp(n, 0);
-  std::uint64_t clock = 0;
+  // teleports to the global best otherwise (KL's buckets give it the
+  // same locality; with first-scan ties instead, the planted and
+  // ladder classes stall 2-3x above KL's local optima). Inserting in
+  // descending id order leaves never-touched ties to the lowest id.
+  const Weight max_gain = max_weighted_degree(g);
+  GainBuckets buckets[2] = {GainBuckets(n, max_gain),
+                            GainBuckets(n, max_gain)};
+  for (Vertex v = n; v-- > 0;) buckets[sides[v]].insert(v, gains[v]);
 
   std::vector<Vertex> path;
   path.reserve(n);
   Weight cumulative = 0, best_cumulative = 0;
   std::size_t best_len = 0;
-  std::uint64_t polls = 0;
+  std::uint64_t polls = 0, scanned = 0;
 
   // Grow one flip sequence in balance pairs — side 0 first, side 1
   // second, like a KL pair — until either side runs out of unlocked
@@ -52,27 +52,21 @@ Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
       options.deadline.check();
       ++polls;
     }
-    const std::uint8_t required = (path.size() & 1u) != 0 ? 1 : 0;
-    // Selection: max gain over eligible vertices; ties prefer the
-    // most recent stamp, then the lowest id (first scanned).
-    bool found = false;
-    Vertex pick = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      if (locked[v] != 0 || sides[v] != required) continue;
-      if (!found || gains[v] > gains[pick] ||
-          (gains[v] == gains[pick] && stamp[v] > stamp[pick])) {
-        found = true;
-        pick = v;
-      }
-    }
-    if (!found) break;  // one side exhausted; the tail can't pair up
+    GainBuckets& pool = buckets[path.size() & 1u];
+    const Weight top = pool.max_gain_present(&scanned);
+    if (top == GainBuckets::kEmpty) break;  // the tail can't pair up
+    const auto pick = static_cast<Vertex>(pool.bucket_head(top));
+    ++scanned;
+    pool.remove(pick);
 
     path.push_back(pick);
-    locked[pick] = 1;
     cumulative += gains[pick];
-    for (const Vertex u : g.neighbors(pick)) stamp[u] = ++clock;
     update_gains_after_move(g, sides, pick, gains);
     sides[pick] ^= 1;
+    for (const Vertex u : g.neighbors(pick)) {
+      GainBuckets& home = buckets[sides[u]];
+      if (home.contains(u)) home.update(u, gains[u]);
+    }
 
     // Best even prefix; on ties keep the longest (a zero-gain plateau
     // still shifts the cut, which later passes exploit — but only once
@@ -94,6 +88,7 @@ Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
     stats->paths += path.empty() ? 0 : 1;
     stats->flips_proposed += path.size();
     stats->flips_applied += best_len;
+    stats->candidates_scanned += scanned;
   }
   if (MetricsSink* sink = options.metrics; sink != nullptr) {
     sink->add(Counter::kPoPaths, path.empty() ? 0 : 1);

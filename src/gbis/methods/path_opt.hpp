@@ -6,23 +6,30 @@
 // alternation, so that flipping any even-length prefix preserves the
 // balance exactly (each side contributes half the flips). One pass
 // grows the sequence greedily — each step flips the max-gain unlocked
-// vertex of the required side, with gain ties broken toward the vertex
-// whose gain was touched most recently. That recency bias is the
-// near-greedy walk of the paper: while a neighbor of the last flip
-// stays gain-optimal the sequence follows edges, and when the walk
-// dies it teleports to the global best (an adjacency *bias*, not a
-// restriction; it is also the move locality KL inherits from its LIFO
-// gain buckets, without which the planted/ladder classes stall far
-// above KL's local optima). The pass then applies the even prefix with
-// the best cumulative gain, preferring the longest on ties — the KL
-// best-prefix rule transplanted from the pair sequence to the flip
-// walk. Every flipped vertex is locked for the rest of the pass, so a
-// pass proposes at most |V| flips and termination is unconditional.
-// Passes repeat until one yields no improvement (or a configured cap),
-// exactly like kl_refine.
+// vertex of the required side, taken from the head of that side's
+// LIFO gain buckets (partition/buckets.hpp, the FM bucket discipline).
+// A flip re-buckets each unlocked neighbor at a bucket head, so gain
+// ties go to the vertex touched most recently, then to the lowest id.
+// That recency bias is the near-greedy walk of the paper: while a
+// neighbor of the last flip stays gain-optimal the sequence follows
+// edges, and when the walk dies it teleports to the global best (an
+// adjacency *bias*, not a restriction; it is also the move locality KL
+// inherits from the same buckets, without which the planted/ladder
+// classes stall far above KL's local optima). The pass then applies
+// the even prefix with the best cumulative gain, preferring the
+// longest on ties — the KL best-prefix rule transplanted from the pair
+// sequence to the flip walk. Every flipped vertex is locked for the
+// rest of the pass, so a pass proposes at most |V| flips and
+// termination is unconditional. Passes repeat until one yields no
+// improvement (or a configured cap), exactly like kl_refine.
 //
-// Tie-breaking is deterministic everywhere (max gain, then freshest
-// stamp, then lowest vertex id) and the refiner consumes no
+// Cost: each pick is a bucket head and each neighbor update O(1), so a
+// pass is O(V + E) plus the walk of the per-side max-gain cursors:
+// one sweep of the 2 * max weighted degree + 1 levels, plus at most
+// the 2w each neighbor update raises a gain by. On unit weights that
+// is O(V + E) per pass. PathOptStats::candidates_scanned counts it.
+//
+// Tie-breaking is deterministic everywhere and the refiner consumes no
 // randomness, so a path-opt trial is a pure function of
 // (graph, starting bisection) — the same contract the KL/SA/FM
 // refiners honor, which is what lets the method join the service
@@ -59,6 +66,8 @@ struct PathOptStats {
   std::uint64_t paths = 0;         ///< paths grown (incl. zero-gain ones)
   std::uint64_t flips_proposed = 0;  ///< vertices visited by some path
   std::uint64_t flips_applied = 0;   ///< flips kept by a best prefix
+  /// Pick work: bucket levels walked plus the heads taken.
+  std::uint64_t candidates_scanned = 0;
   Weight initial_cut = 0;
   Weight final_cut = 0;
 };

@@ -1,7 +1,7 @@
 // FM-style gain buckets: a doubly-linked bucket list keyed by gain,
 // supporting O(1) insert/remove/update and O(range) max queries.
-// Shared by the Kernighan-Lin pair-selection scan and the
-// Fiduccia-Mattheyses refinement loop.
+// Shared by the Kernighan-Lin pair-selection scan, the
+// Fiduccia-Mattheyses refinement loop and path optimization's pick.
 #pragma once
 
 #include <cassert>
@@ -29,17 +29,19 @@ class GainBuckets {
         gain_(capacity, 0),
         present_(capacity, 0) {}
 
-  /// Highest gain with a nonempty bucket; kEmpty if none.
+  /// Highest gain with a nonempty bucket; kEmpty if none. When
+  /// `levels` is given, adds the number of bucket levels inspected (a
+  /// deterministic work count for complexity tests).
   static constexpr Weight kEmpty = std::numeric_limits<Weight>::min();
-  Weight max_gain_present() const {
-    for (Weight g = cursor_; g >= -max_gain_; --g) {
-      if (head_[index(g)] != kNil) {
-        cursor_ = g;
-        return g;
-      }
+  Weight max_gain_present(std::uint64_t* levels = nullptr) const {
+    const Weight start = cursor_;
+    Weight g = start;
+    while (g > -max_gain_ && head_[index(g)] == kNil) --g;
+    cursor_ = g;
+    if (levels != nullptr) {
+      *levels += static_cast<std::uint64_t>(start - g + 1);
     }
-    cursor_ = -max_gain_;
-    return kEmpty;
+    return head_[index(g)] != kNil ? g : kEmpty;
   }
 
   bool contains(Vertex v) const { return present_[v] != 0; }
