@@ -14,24 +14,12 @@
 #include "gbis/graph/graph.hpp"
 #include "gbis/harness/runner.hpp"
 #include "gbis/rng/rng.hpp"
+#include "gbis/util/knobs.hpp"
 
 namespace gbis {
 
-/// Environment-controlled experiment knobs (read once per process):
-///   GBIS_SCALE               float, default 1.0 — multiplies instance sizes
-///   GBIS_GRAPHS_PER_SETTING  int, default 0 = per-table default (3)
-///   GBIS_STARTS              int, default 2 (the paper's best-of-two)
-///   GBIS_SEED                uint64, default 19890625
-///   GBIS_THREADS             int, default 0 = hardware concurrency —
-///                            trial-runner worker count; cut columns are
-///                            bit-identical for every value
-///   GBIS_SA_LENGTH           float, default 8.0 — SA moves per temperature
-///                            per vertex (Johnson et al. used 16; 8 keeps
-///                            full-suite runtimes manageable with
-///                            indistinguishable cuts on these families)
-///   GBIS_CSV_DIR             directory; when set, every appendix-table
-///                            driver also writes its rows as
-///                            <dir>/<table>.csv for plotting
+/// Environment-controlled experiment knobs (read once per process);
+/// experiment_knobs declares each one's variable, syntax and default.
 struct ExperimentEnv {
   double scale = 1.0;
   std::uint32_t graphs_per_setting = 0;
@@ -42,9 +30,16 @@ struct ExperimentEnv {
   std::string csv_dir;  ///< empty = no CSV export
 };
 
-/// Reads the GBIS_* environment variables. Malformed values keep their
-/// defaults and emit a one-line stderr warning naming the variable and
-/// the rejected text.
+/// The GBIS_THREADS / --threads row, bound to `threads`: trial-runner
+/// workers for the bench tables and every `gbis` subcommand.
+Knob threads_knob(std::uint32_t& threads);
+
+/// The ExperimentEnv rows (GBIS_SCALE, GBIS_SEED, ...), bound to `e`.
+KnobTable experiment_knobs(ExperimentEnv& e);
+
+/// Reads the GBIS_* environment variables of experiment_knobs.
+/// Malformed values keep their defaults and emit a one-line stderr
+/// warning naming the variable and the rejected text.
 ExperimentEnv experiment_env();
 
 /// The RunConfig the paper-table drivers use for KL/SA/CKL/CSA.

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <iostream>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -56,16 +55,17 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   return plan;
 }
 
+Knob fault_plan_knob(FaultPlan& plan) {
+  return {nullptr, "GBIS_FAULTS", "SPEC",
+          "inject deterministic faults into campaign trials: "
+          "kind@trial:ID[,...], kinds throw, hang, stop (docs/ROBUSTNESS.md)",
+          grammar(plan)};
+}
+
 FaultPlan FaultPlan::from_env() {
-  const char* raw = std::getenv("GBIS_FAULTS");
-  if (raw == nullptr || *raw == '\0') return {};
-  try {
-    return parse(raw);
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "gbis: ignoring GBIS_FAULTS=\"" << raw << "\" ("
-              << error.what() << ")\n";
-    return {};
-  }
+  FaultPlan plan;
+  apply_env({fault_plan_knob(plan)});
+  return plan;
 }
 
 FaultKind FaultPlan::at(std::uint64_t trial_id) const {
@@ -118,16 +118,17 @@ SvcFaultPlan SvcFaultPlan::parse(const std::string& spec) {
   return plan;
 }
 
+Knob svc_fault_plan_knob(SvcFaultPlan& plan) {
+  return {nullptr, "GBIS_SVC_FAULTS", "SPEC",
+          "inject service-scoped faults: kind@site:N[,...], kinds throw, "
+          "hang, oom, crash at sites req, solve, batch (docs/ROBUSTNESS.md)",
+          grammar(plan)};
+}
+
 SvcFaultPlan SvcFaultPlan::from_env() {
-  const char* raw = std::getenv("GBIS_SVC_FAULTS");
-  if (raw == nullptr || *raw == '\0') return {};
-  try {
-    return parse(raw);
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "gbis: ignoring GBIS_SVC_FAULTS=\"" << raw << "\" ("
-              << error.what() << ")\n";
-    return {};
-  }
+  SvcFaultPlan plan;
+  apply_env({svc_fault_plan_knob(plan)});
+  return plan;
 }
 
 SvcFaultKind SvcFaultPlan::at(SvcFaultSite site, std::uint64_t ordinal) const {

@@ -28,6 +28,7 @@
 #include <unordered_map>
 
 #include "gbis/util/deadline.hpp"
+#include "gbis/util/knobs.hpp"
 
 namespace gbis {
 
@@ -51,9 +52,8 @@ class FaultPlan {
   /// offending entry on any deviation. An empty spec is an empty plan.
   static FaultPlan parse(const std::string& spec);
 
-  /// Reads GBIS_FAULTS. A malformed value warns on stderr (naming the
-  /// variable and the rejected text, like the other GBIS_* knobs) and
-  /// yields an empty plan.
+  /// Reads GBIS_FAULTS through fault_plan_knob: a malformed value warns
+  /// on stderr and yields an empty plan.
   static FaultPlan from_env();
 
   bool empty() const { return by_trial_.empty(); }
@@ -71,6 +71,9 @@ class FaultPlan {
 /// deadline — what an injected hang spins against.
 void maybe_inject_fault(const FaultPlan* plan, std::uint64_t trial_id,
                         const Deadline& deadline);
+
+/// The GBIS_FAULTS row, bound to `plan`.
+Knob fault_plan_knob(FaultPlan& plan);
 
 // ---------------------------------------------------------------------------
 // Service-scoped fault injection (svc/scheduler.*). Same philosophy as
@@ -120,8 +123,8 @@ class SvcFaultPlan {
   /// offending entry on any deviation. An empty spec is an empty plan.
   static SvcFaultPlan parse(const std::string& spec);
 
-  /// Reads GBIS_SVC_FAULTS. A malformed value warns on stderr and
-  /// yields an empty plan, like every other GBIS_* knob.
+  /// Reads GBIS_SVC_FAULTS through svc_fault_plan_knob: a malformed
+  /// value warns on stderr and yields an empty plan.
   static SvcFaultPlan from_env();
 
   bool empty() const { return by_site_.empty(); }
@@ -142,5 +145,8 @@ class SvcFaultPlan {
 void maybe_inject_svc_fault(const SvcFaultPlan* plan, SvcFaultSite site,
                             std::uint64_t ordinal, const Deadline& deadline,
                             const std::atomic<bool>* stop = nullptr);
+
+/// The GBIS_SVC_FAULTS row, bound to `plan`.
+Knob svc_fault_plan_knob(SvcFaultPlan& plan);
 
 }  // namespace gbis

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <iostream>
 #include <limits>
 #include <numeric>
 #include <ostream>
-#include <string_view>
 
 namespace gbis {
 
@@ -105,13 +102,6 @@ constexpr const char* kPhaseNames[kNumPhases] = {
 };
 
 constexpr const char* kTraceSourceNames[] = {"kl", "sa", "fm", "po"};
-
-// Same stderr shape as experiments.cpp / fault_injection.cpp: name the
-// variable and the rejected text, then keep the default.
-void warn_rejected(const char* var, const char* text) {
-  std::cerr << "gbis: ignoring malformed " << var << "=\"" << text
-            << "\" (keeping default)\n";
-}
 
 }  // namespace
 
@@ -243,7 +233,7 @@ void merge_metric_summaries(TrialMetrics& into, const TrialMetrics& from) {
 }
 
 MetricsSink::MetricsSink(TrialMetrics* dest, std::uint32_t trace_capacity)
-    : dest_(dest), trace_capacity_(trace_capacity == 0 ? 1 : trace_capacity) {}
+    : dest_(dest), trace_(trace_capacity) {}
 
 void MetricsSink::trace_point(TraceSource source, std::int64_t cut,
                               double aux) {
@@ -253,22 +243,9 @@ void MetricsSink::trace_point(TraceSource source, std::int64_t cut,
     best_cut_ = cut;
     have_best_ = true;
   }
-  const std::uint64_t ordinal = trace_ordinal_++;
-  if (ordinal % trace_stride_ != 0) return;
-  if (dest_->trace.size() >= trace_capacity_) {
-    // Decimate: keep every other held point (the ones whose ordinal is
-    // a multiple of the doubled stride) and double the stride. Purely
-    // a function of the offered sequence, so thread-count invariant.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < dest_->trace.size(); i += 2) {
-      dest_->trace[kept++] = dest_->trace[i];
-    }
-    dest_->trace.resize(kept);
-    trace_stride_ *= 2;
-    if (ordinal % trace_stride_ != 0) return;
-  }
+  if (!trace_.admit(dest_->trace)) return;
   dest_->trace.push_back(
-      TracePoint{ordinal, source, cut, best_cut_, aux});
+      TracePoint{trace_.offered() - 1, source, cut, best_cut_, aux});
 #else
   (void)source;
   (void)cut;
@@ -296,31 +273,24 @@ void MetricsSink::end_phase(Phase p) {
 #endif
 }
 
+KnobTable obs_knobs(ObsOptions& o) {
+  return {
+      {"--metrics", "GBIS_METRICS", "FILE",
+       "write aggregated per-trial metrics JSON", path(o.metrics_path)},
+      {"--trace-dir", "GBIS_TRACE_DIR", "D",
+       "write convergence.{jsonl,csv} and a Chrome/Perfetto trace.json "
+       "under directory D",
+       path(o.trace_dir)},
+      {"--progress", "GBIS_PROGRESS", nullptr,
+       "live stderr progress line for trial batches",
+       one_of(o.progress,
+              {{"1", true}, {"true", true}, {"0", false}, {"false", false}}),
+       "1"},
+  };
+}
+
 ObsOptions obs_options_from_env(ObsOptions base) {
-  if (const char* v = std::getenv("GBIS_METRICS"); v != nullptr) {
-    if (*v == '\0') {
-      warn_rejected("GBIS_METRICS", v);
-    } else {
-      base.metrics_path = v;
-    }
-  }
-  if (const char* v = std::getenv("GBIS_TRACE_DIR"); v != nullptr) {
-    if (*v == '\0') {
-      warn_rejected("GBIS_TRACE_DIR", v);
-    } else {
-      base.trace_dir = v;
-    }
-  }
-  if (const char* v = std::getenv("GBIS_PROGRESS"); v != nullptr) {
-    const std::string_view s(v);
-    if (s == "1" || s == "true") {
-      base.progress = true;
-    } else if (s == "0" || s == "false") {
-      base.progress = false;
-    } else {
-      warn_rejected("GBIS_PROGRESS", v);
-    }
-  }
+  apply_env(obs_knobs(base));
   return base;
 }
 

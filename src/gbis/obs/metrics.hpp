@@ -28,6 +28,8 @@
 #include <vector>
 
 #include "gbis/harness/timer.hpp"
+#include "gbis/obs/decimator.hpp"
+#include "gbis/util/knobs.hpp"
 
 namespace gbis {
 
@@ -401,9 +403,7 @@ class MetricsSink {
 
  private:
   TrialMetrics* dest_ = nullptr;
-  std::uint32_t trace_capacity_ = 512;
-  std::uint64_t trace_ordinal_ = 0;  ///< points offered so far
-  std::uint64_t trace_stride_ = 1;   ///< keep every stride-th point
+  StrideDecimator trace_{512};
   std::int64_t best_cut_ = 0;
   bool have_best_ = false;
   std::array<double, kNumPhases> phase_start_{};
@@ -451,9 +451,13 @@ struct ObsOptions {
   }
 };
 
+/// The ObsOptions rows (--metrics / --trace-dir / --progress and their
+/// GBIS_* variables), bound to `o`.
+KnobTable obs_knobs(ObsOptions& o);
+
 /// Applies the GBIS_METRICS / GBIS_TRACE_DIR / GBIS_PROGRESS
 /// environment knobs on top of `base`. Malformed values keep the
-/// default and warn on stderr (the PR 1 convention).
+/// default and warn on stderr.
 ObsOptions obs_options_from_env(ObsOptions base = {});
 
 /// Campaign-level metric summary: the trial-id-order fold of every

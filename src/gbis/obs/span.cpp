@@ -62,26 +62,12 @@ std::string encode_span_set(const SpanSet& set, const char* state) {
 }
 
 SpanBuffer::SpanBuffer(std::vector<SpanRec>* dest, std::uint32_t capacity)
-    : dest_(dest), capacity_(capacity == 0 ? 1 : capacity) {}
+    : dest_(dest), decimator_(capacity) {}
 
 void SpanBuffer::offer(SpanRec rec) {
 #ifndef GBIS_DISABLE_OBS
   if (dest_ == nullptr) return;
-  const std::uint64_t ordinal = ordinal_++;
-  if (ordinal % stride_ != 0) return;
-  if (dest_->size() >= capacity_) {
-    // Decimate exactly like MetricsSink::trace_point: keep every other
-    // held span, double the stride — a pure function of the offered
-    // sequence, so thread-count invariant.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < dest_->size(); i += 2) {
-      if (i != kept) (*dest_)[kept] = std::move((*dest_)[i]);
-      ++kept;
-    }
-    dest_->resize(kept);
-    stride_ *= 2;
-    if (ordinal % stride_ != 0) return;
-  }
+  if (!decimator_.admit(*dest_)) return;
   dest_->push_back(std::move(rec));
 #else
   (void)rec;

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "gbis/obs/decimator.hpp"
 #include "gbis/obs/metrics.hpp"
 
 namespace gbis {
@@ -86,9 +87,7 @@ class SpanBuffer {
 
  private:
   std::vector<SpanRec>* dest_ = nullptr;
-  std::uint32_t capacity_ = kDefaultCapacity;
-  std::uint64_t ordinal_ = 0;  ///< spans offered so far
-  std::uint64_t stride_ = 1;   ///< keep every stride-th span
+  StrideDecimator decimator_{kDefaultCapacity};
 };
 
 /// Chrome trace-event dump of completed span sets (the `spans.json`

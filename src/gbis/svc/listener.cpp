@@ -2,11 +2,9 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -25,11 +23,6 @@
 namespace gbis {
 
 namespace {
-
-void warn_rejected(const char* var, const char* text) {
-  std::cerr << "gbis: ignoring malformed " << var << "=\"" << text
-            << "\" (keeping default)\n";
-}
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -63,22 +56,42 @@ std::string local_error_line(const std::string& request_line,
 
 }  // namespace
 
+KnobTable listener_knobs(ListenerOptions& o) {
+  return {
+      {"--listen", "GBIS_SVC_LISTEN", "HOST:PORT",
+       "serve NDJSON over TCP instead of stdio (port 0 = ephemeral)",
+       [&o](const std::string& text) {
+         std::string host, port;
+         if (!split_endpoint(text, host, port)) return "expected HOST:PORT";
+         o.tcp_endpoint = text;
+         return "";
+       }},
+      {"--listen-unix", "GBIS_SVC_LISTEN_UNIX", "PATH",
+       "ditto on a Unix-domain socket; both listeners may run at once; "
+       "neither combines with --replay",
+       path(o.unix_path)},
+      {"--max-conns", nullptr, "N",
+       "connection bound; accepts beyond it get one structured reject line "
+       "(1024)",
+       whole(o.max_connections, 1)},
+      {"--conn-quota", nullptr, "N",
+       "per-connection in-flight request bound (64)",
+       whole(o.conn_request_quota, 1)},
+      {"--write-timeout", nullptr, "S",
+       "disconnect a client making no read progress for S seconds (10)",
+       positive(o.write_timeout_seconds)},
+      {"--max-line-bytes", nullptr, "N",
+       "reject request lines longer than N bytes and resync (4194304)",
+       whole(o.max_line_bytes, 1)},
+      {"--ready-file", nullptr, "F",
+       "publish the bound endpoints to F once listening (how scripts find "
+       "port 0)",
+       path(o.ready_file)},
+  };
+}
+
 ListenerOptions listener_options_from_env(ListenerOptions base) {
-  if (const char* v = std::getenv("GBIS_SVC_LISTEN"); v != nullptr) {
-    std::string host, port;
-    if (!split_endpoint(v, host, port)) {
-      warn_rejected("GBIS_SVC_LISTEN", v);
-    } else {
-      base.tcp_endpoint = v;
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_LISTEN_UNIX"); v != nullptr) {
-    if (*v == '\0') {
-      warn_rejected("GBIS_SVC_LISTEN_UNIX", v);
-    } else {
-      base.unix_path = v;
-    }
-  }
+  apply_env(listener_knobs(base));
   return base;
 }
 

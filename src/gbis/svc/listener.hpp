@@ -83,9 +83,13 @@ struct ListenerOptions {
   std::function<void(const std::string&)> on_response;
 };
 
+/// The ListenerOptions rows (the socket `gbis serve` flags and their
+/// GBIS_SVC_LISTEN* variables), bound to `o`.
+KnobTable listener_knobs(ListenerOptions& o);
+
 /// Overlays GBIS_SVC_LISTEN ("HOST:PORT") and GBIS_SVC_LISTEN_UNIX
 /// (a path) onto `base`. Malformed values warn on stderr and keep the
-/// default, matching every other GBIS_* knob.
+/// default.
 ListenerOptions listener_options_from_env(ListenerOptions base);
 
 class Listener {

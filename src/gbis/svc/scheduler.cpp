@@ -29,13 +29,6 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-// Same stderr shape as the other GBIS_* knobs: name the variable and
-// the rejected text, then keep the default.
-void warn_rejected(const char* var, const char* text) {
-  std::cerr << "gbis: ignoring malformed " << var << "=\"" << text
-            << "\" (keeping default)\n";
-}
-
 const char* op_name(SvcRequest::Op op) {
   switch (op) {
     case SvcRequest::Op::kSolve: return "solve";
@@ -53,121 +46,6 @@ std::uint64_t to_us(double seconds) {
 }
 
 }  // namespace
-
-SvcOptions svc_options_from_env(SvcOptions base) {
-  if (const char* v = std::getenv("GBIS_SVC_CACHE_MB"); v != nullptr) {
-    char* end = nullptr;
-    const unsigned long long mb = std::strtoull(v, &end, 10);
-    if (*v == '\0' || end == nullptr || *end != '\0') {
-      warn_rejected("GBIS_SVC_CACHE_MB", v);
-    } else {
-      base.cache_bytes = static_cast<std::uint64_t>(mb) << 20;
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_ACCESS_LOG"); v != nullptr) {
-    if (*v == '\0') {
-      warn_rejected("GBIS_SVC_ACCESS_LOG", v);
-    } else {
-      base.access_log_path = v;
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_SLOW_MS"); v != nullptr) {
-    char* end = nullptr;
-    const double ms = std::strtod(v, &end);
-    if (*v == '\0' || end == nullptr || *end != '\0' || !(ms >= 0)) {
-      warn_rejected("GBIS_SVC_SLOW_MS", v);
-    } else {
-      base.slow_ms = ms;
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_CACHE_FILE"); v != nullptr) {
-    if (*v == '\0') {
-      warn_rejected("GBIS_SVC_CACHE_FILE", v);
-    } else {
-      base.cache_file = v;
-    }
-  }
-  // SvcFaultPlan::from_env warns and yields an empty plan on a
-  // malformed spec, matching the campaign GBIS_FAULTS knob.
-  if (const SvcFaultPlan plan = SvcFaultPlan::from_env(); !plan.empty()) {
-    base.faults = plan;
-  }
-  if (const char* v = std::getenv("GBIS_SVC_BROWNOUT"); v != nullptr) {
-    const std::string text(v);
-    if (text == "0") {
-      base.brownout = false;
-    } else if (text == "1") {
-      base.brownout = true;
-    } else {
-      warn_rejected("GBIS_SVC_BROWNOUT", v);
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_BROWNOUT_WINDOW"); v != nullptr) {
-    char* end = nullptr;
-    const unsigned long long window = std::strtoull(v, &end, 10);
-    if (*v == '\0' || end == nullptr || *end != '\0' || window == 0 ||
-        window > 0xFFFFFFFFull) {
-      warn_rejected("GBIS_SVC_BROWNOUT_WINDOW", v);
-    } else {
-      base.brownout_window = static_cast<std::uint32_t>(window);
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_GRAPH_MB"); v != nullptr) {
-    char* end = nullptr;
-    const unsigned long long mb = std::strtoull(v, &end, 10);
-    if (*v == '\0' || end == nullptr || *end != '\0') {
-      warn_rejected("GBIS_SVC_GRAPH_MB", v);
-    } else {
-      base.graph_store_bytes = static_cast<std::uint64_t>(mb) << 20;
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_WARM"); v != nullptr) {
-    const std::string text(v);
-    if (text == "0") {
-      base.warm = false;
-    } else if (text == "1") {
-      base.warm = true;
-    } else {
-      warn_rejected("GBIS_SVC_WARM", v);
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_QUALITY"); v != nullptr) {
-    QualityTier tier;
-    if (quality_tier_from_name(v, tier)) {
-      base.default_quality = tier;
-    } else {
-      warn_rejected("GBIS_SVC_QUALITY", v);
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_FLIGHT"); v != nullptr) {
-    if (*v == '\0') {
-      warn_rejected("GBIS_SVC_FLIGHT", v);
-    } else {
-      base.flight_file = v;
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_FLIGHT_RING"); v != nullptr) {
-    char* end = nullptr;
-    const unsigned long long ring = std::strtoull(v, &end, 10);
-    if (*v == '\0' || end == nullptr || *end != '\0' || ring == 0 ||
-        ring > 0xFFFFFFFFull) {
-      warn_rejected("GBIS_SVC_FLIGHT_RING", v);
-    } else {
-      base.flight_ring = static_cast<std::uint32_t>(ring);
-    }
-  }
-  if (const char* v = std::getenv("GBIS_SVC_ACCESS_LOG_MAX_MB");
-      v != nullptr) {
-    char* end = nullptr;
-    const unsigned long long mb = std::strtoull(v, &end, 10);
-    if (*v == '\0' || end == nullptr || *end != '\0') {
-      warn_rejected("GBIS_SVC_ACCESS_LOG_MAX_MB", v);
-    } else {
-      base.access_log_max_mb = static_cast<std::uint64_t>(mb);
-    }
-  }
-  return base;
-}
 
 /// One queued request: everything phase 1 resolves (graph, solve
 /// identity, cache disposition) plus the response under construction.
@@ -251,11 +129,11 @@ Service::Service(SvcOptions options)
       cache_(options.cache_bytes),
       graph_store_(options.graph_store_bytes),
       lineage_(std::max<std::uint32_t>(options.lineage_max_depth, 1),
-               std::max<std::uint64_t>(options.lineage_max_records, 1)) {
+               std::max<std::uint64_t>(options.lineage_max_records, 1)),
+      slow_decimator_(options.slow_capacity) {
   if (options_.batch_size == 0) options_.batch_size = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
   if (options_.default_budget == 0) options_.default_budget = 1;
-  if (options_.slow_capacity == 0) options_.slow_capacity = 1;
   if (options_.brownout_window == 0) options_.brownout_window = 1;
   if (options_.flight_ring == 0) options_.flight_ring = 1;
   if (!options_.access_log_path.empty()) {
@@ -1047,22 +925,9 @@ TrialMetrics Service::metrics_snapshot() const {
 void Service::record_slow(const Pending& entry, double total_seconds) {
   if (options_.slow_ms < 0) return;
   if (total_seconds * 1000.0 < options_.slow_ms) return;
-  // Same deterministic stride-doubling decimation as the convergence
-  // trace: which offered samples are kept depends only on the offered
-  // sequence (and at --slow-ms 0 every finalized request is offered).
-  const std::uint64_t ordinal = slow_ordinal_++;
-  if (ordinal % slow_stride_ != 0) return;
-  if (slow_samples_.size() >= options_.slow_capacity) {
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < slow_samples_.size(); i += 2) {
-      // Guard i == kept: self-move-assignment would gut the strings.
-      if (i != kept) slow_samples_[kept] = std::move(slow_samples_[i]);
-      ++kept;
-    }
-    slow_samples_.resize(kept);
-    slow_stride_ *= 2;
-    if (ordinal % slow_stride_ != 0) return;
-  }
+  // At --slow-ms 0 every finalized request is offered, so the sampled
+  // set is a pure function of the request stream (obs/decimator).
+  if (!slow_decimator_.admit(slow_samples_)) return;
   SvcSlowSample sample;
   sample.seq = entry.seq;
   sample.id = entry.request.id;

@@ -45,6 +45,7 @@
 #include "gbis/svc/cache_store.hpp"
 #include "gbis/svc/policy.hpp"
 #include "gbis/svc/protocol.hpp"
+#include "gbis/util/knobs.hpp"
 
 namespace gbis {
 
@@ -132,19 +133,11 @@ struct SvcOptions {
   RunConfig run;
 };
 
-/// Overlays GBIS_SVC_CACHE_MB (whole mebibytes; 0 disables the cache),
-/// GBIS_SVC_ACCESS_LOG (a path), GBIS_SVC_SLOW_MS (milliseconds,
-/// >= 0), GBIS_SVC_CACHE_FILE (a journal path), GBIS_SVC_FAULTS (a
-/// service fault plan), GBIS_SVC_BROWNOUT (0/1),
-/// GBIS_SVC_BROWNOUT_WINDOW (> 0), GBIS_SVC_GRAPH_MB (whole mebibytes
-/// for the graph store), GBIS_SVC_WARM (0/1), and GBIS_SVC_QUALITY
-/// (fast|balanced|best, the ladder rung for "auto" solves that do not
-/// say), GBIS_SVC_FLIGHT (a flight-recorder dump path),
-/// GBIS_SVC_FLIGHT_RING (> 0 completed span sets held), and
-/// GBIS_SVC_ACCESS_LOG_MAX_MB (whole mebibytes; 0 = unbounded) onto
-/// `base`.
-/// Malformed values warn on stderr and keep the default, matching
-/// every other GBIS_* knob.
+/// The SvcOptions rows (flags and GBIS_SVC_* variables), bound to `o`.
+KnobTable svc_knobs(SvcOptions& o);
+
+/// Overlays every GBIS_SVC_* variable of svc_knobs onto `base`.
+/// Malformed values warn on stderr and keep the default.
 SvcOptions svc_options_from_env(SvcOptions base);
 
 /// The service. See the file comment for the determinism contract.
@@ -278,8 +271,7 @@ class Service {
   std::vector<SvcSlowSample> slow_samples_;
   WallTimer clock_;               ///< service epoch for all timings
   std::uint64_t next_seq_ = 0;    ///< request ordinal (access-log "seq")
-  std::uint64_t slow_ordinal_ = 0;  ///< slow samples offered so far
-  std::uint64_t slow_stride_ = 1;   ///< keep every stride-th slow sample
+  StrideDecimator slow_decimator_;
   std::uint64_t batch_ordinal_ = 0;  ///< non-empty batches dispatched
   std::uint64_t cold_ordinal_ = 0;   ///< cold solves started (leaders)
   // Brownout controller state: the current rung plus a sliding window

@@ -364,6 +364,25 @@ if(NOT code EQUAL 3)
   message(FATAL_ERROR "unopenable --cache-file exited ${code}, expected 3")
 endif()
 
+# Malformed numbers are usage errors (exit 2), never a silently wrong
+# value: a non-number (cache off, no deadline, seed 0), a MiB count
+# whose byte size wraps to 0, and counts past their field's range that
+# used to truncate (flight ring 1, a 10-vertex gnp graph).
+file(WRITE ${WORK_DIR}/ping.ndjson "{\"id\":\"p\",\"op\":\"ping\"}\n")
+foreach(bad_args
+    "serve;--replay;${WORK_DIR}/ping.ndjson;--cache-mb;abc"
+    "serve;--replay;${WORK_DIR}/ping.ndjson;--cache-mb;17592186044416"
+    "serve;--replay;${WORK_DIR}/ping.ndjson;--flight-ring;4294967297"
+    "serve;--replay;${WORK_DIR}/ping.ndjson;--deadline;abc"
+    "--seed;xyz;gen;ladder;4;${WORK_DIR}/bad.graph"
+    "gen;gnp;4294967306;5;${WORK_DIR}/bad.graph")
+  execute_process(COMMAND ${GBIS_CLI} ${bad_args}
+    RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+  if(NOT code EQUAL 2)
+    message(FATAL_ERROR "gbis ${bad_args} exited ${code}, expected 2")
+  endif()
+endforeach()
+
 # Socket mode: stream the same requests over loopback TCP and a unix
 # socket (tools/svc_client.py spawns the server, polls --ready-file,
 # half-closes after sending, SIGTERMs, and demands exit 130). After the

@@ -29,6 +29,7 @@
 #include "gbis/harness/shutdown.hpp"
 #include "gbis/harness/stats.hpp"
 #include "gbis/io/io_error.hpp"
+#include "gbis/obs/decimator.hpp"
 #include "gbis/obs/flight_recorder.hpp"
 #include "gbis/obs/metrics.hpp"
 #include "gbis/obs/progress.hpp"
@@ -144,6 +145,21 @@ TEST(MetricsSink, TraceDecimationIsBoundedAndDeterministic) {
   for (std::size_t i = 1; i < a.size(); ++i) {
     EXPECT_LT(a[i - 1].step, a[i].step);
   }
+}
+
+TEST(StrideDecimator, KeepsTheStrideDoublingOrdinals) {
+  // Capacity 4: 0..3 fill it; 4 thins to {0,2} at stride 2; 8 thins to
+  // {0,4} at stride 4; 16 thins to {0,8} at stride 8.
+  StrideDecimator decimator(4);
+  std::vector<std::uint64_t> held;
+  std::vector<std::vector<std::uint64_t>> after;
+  for (std::uint64_t ordinal = 0; ordinal < 18; ++ordinal) {
+    if (decimator.admit(held)) held.push_back(ordinal);
+    if (ordinal == 13 || ordinal == 17) after.push_back(held);
+  }
+  EXPECT_EQ(after[0], (std::vector<std::uint64_t>{0, 4, 8, 12}));
+  EXPECT_EQ(after[1], (std::vector<std::uint64_t>{0, 8, 16}));
+  EXPECT_EQ(decimator.offered(), 18u);
 }
 
 TEST(SaStageBuckets, SplitAtHalfAndTwentiethOfT0) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -29,6 +30,7 @@
 #include "gbis/gen/special.hpp"
 #include "gbis/graph/builder.hpp"
 #include "gbis/harness/checkpoint.hpp"
+#include "gbis/harness/experiments.hpp"
 #include "gbis/harness/shutdown.hpp"
 #include "gbis/io/edge_list.hpp"
 #include "gbis/obs/span.hpp"
@@ -42,6 +44,7 @@
 #include "gbis/rng/splitmix.hpp"
 #include "gbis/svc/scheduler.hpp"
 #include "gbis/util/json_lite.hpp"
+#include "gbis/util/knobs.hpp"
 
 namespace gbis {
 namespace {
@@ -1944,6 +1947,144 @@ TEST(SvcOptionsFromEnv, OverlaysDynamicGraphKnobs) {
 
   ::unsetenv("GBIS_SVC_GRAPH_MB");
   ::unsetenv("GBIS_SVC_WARM");
+}
+
+// --- Knob tables: every GBIS_* row, env form and flag form ------------------
+
+/// One environment row under test: `valid` must set the field so that
+/// show() reads `expect`; `malformed` must warn and keep the default,
+/// and the row's flag (when it takes a value) must reject it.
+template <class T>
+struct EnvCase {
+  const char* env;
+  const char* valid;
+  std::string expect;
+  const char* malformed;
+  std::function<std::string(const T&)> show;
+};
+
+template <class T>
+void check_env_rows(const std::function<KnobTable(T&)>& table,
+                    const std::function<T()>& from_env,
+                    const std::vector<EnvCase<T>>& cases) {
+  T probe{};
+  std::size_t env_rows = 0;
+  for (const Knob& row : table(probe)) {
+    if (row.env == nullptr) continue;
+    ++env_rows;
+    const auto it = std::find_if(cases.begin(), cases.end(),
+                                 [&](const EnvCase<T>& c) {
+                                   return std::string(c.env) == row.env;
+                                 });
+    ASSERT_NE(it, cases.end()) << row.env << " has no test case";
+    ::unsetenv(row.env);
+    const std::string defaults = it->show(from_env());
+    ::setenv(row.env, it->valid, 1);
+    EXPECT_EQ(it->show(from_env()), it->expect) << row.env;
+    ::setenv(row.env, it->malformed, 1);
+    EXPECT_EQ(it->show(from_env()), defaults) << row.env;
+    ::unsetenv(row.env);
+    if (row.flag != nullptr && row.preset == nullptr) {
+      T target{};
+      EXPECT_THROW(apply_flags(table(target), {row.flag, it->malformed}),
+                   std::invalid_argument)
+          << row.flag << " " << it->malformed;
+    }
+  }
+  EXPECT_EQ(env_rows, cases.size());
+}
+
+std::string bit(bool v) { return v ? "1" : "0"; }
+
+TEST(KnobTables, EveryEnvRowSetsKeepsDefaultAndMatchesItsFlag) {
+  check_env_rows<SvcOptions>(
+      svc_knobs, [] { return svc_options_from_env(SvcOptions{}); },
+      {
+          // 2^44 MiB would wrap `<< 20` to a zero-byte (disabled) cache.
+          {"GBIS_SVC_CACHE_MB", "8", "8388608", "17592186044416",
+           [](const SvcOptions& o) { return std::to_string(o.cache_bytes); }},
+          {"GBIS_SVC_CACHE_FILE", "/tmp/j.jsonl", "/tmp/j.jsonl", "",
+           [](const SvcOptions& o) { return o.cache_file; }},
+          {"GBIS_SVC_GRAPH_MB", "3", "3145728", "lots",
+           [](const SvcOptions& o) {
+             return std::to_string(o.graph_store_bytes);
+           }},
+          {"GBIS_SVC_WARM", "0", "0", "maybe",
+           [](const SvcOptions& o) { return bit(o.warm); }},
+          {"GBIS_SVC_BROWNOUT", "0", "0", "yes",
+           [](const SvcOptions& o) { return bit(o.brownout); }},
+          {"GBIS_SVC_BROWNOUT_WINDOW", "16", "16", "0",
+           [](const SvcOptions& o) {
+             return std::to_string(o.brownout_window);
+           }},
+          {"GBIS_SVC_QUALITY", "fast", "fast", "fastest",
+           [](const SvcOptions& o) {
+             return std::string(quality_tier_name(o.default_quality));
+           }},
+          {"GBIS_SVC_ACCESS_LOG", "/tmp/al.jsonl", "/tmp/al.jsonl", "",
+           [](const SvcOptions& o) { return o.access_log_path; }},
+          {"GBIS_SVC_ACCESS_LOG_MAX_MB", "5", "5", "-1",
+           [](const SvcOptions& o) {
+             return std::to_string(o.access_log_max_mb);
+           }},
+          {"GBIS_SVC_FLIGHT", "/tmp/f.jsonl", "/tmp/f.jsonl", "",
+           [](const SvcOptions& o) { return o.flight_file; }},
+          {"GBIS_SVC_FLIGHT_RING", "8", "8", "4294967297",
+           [](const SvcOptions& o) { return std::to_string(o.flight_ring); }},
+          {"GBIS_SVC_SLOW_MS", "2.5", std::to_string(2.5), "-3",
+           [](const SvcOptions& o) { return std::to_string(o.slow_ms); }},
+          {"GBIS_SVC_FAULTS", "throw@req:2", "1", "bogus@nowhere",
+           [](const SvcOptions& o) { return std::to_string(o.faults.size()); }},
+      });
+  check_env_rows<ListenerOptions>(
+      listener_knobs,
+      [] { return listener_options_from_env(ListenerOptions{}); },
+      {
+          {"GBIS_SVC_LISTEN", "127.0.0.1:0", "127.0.0.1:0", "no-port",
+           [](const ListenerOptions& o) { return o.tcp_endpoint; }},
+          {"GBIS_SVC_LISTEN_UNIX", "/tmp/g.sock", "/tmp/g.sock", "",
+           [](const ListenerOptions& o) { return o.unix_path; }},
+      });
+  check_env_rows<ObsOptions>(
+      obs_knobs, [] { return obs_options_from_env(); },
+      {
+          {"GBIS_METRICS", "/tmp/m.json", "/tmp/m.json", "",
+           [](const ObsOptions& o) { return o.metrics_path; }},
+          {"GBIS_TRACE_DIR", "/tmp/t", "/tmp/t", "",
+           [](const ObsOptions& o) { return o.trace_dir; }},
+          {"GBIS_PROGRESS", "true", "1", "maybe",
+           [](const ObsOptions& o) { return bit(o.progress); }},
+      });
+  check_env_rows<ExperimentEnv>(
+      experiment_knobs, experiment_env,
+      {
+          {"GBIS_SCALE", "0.5", std::to_string(0.5), "0",
+           [](const ExperimentEnv& e) { return std::to_string(e.scale); }},
+          {"GBIS_GRAPHS_PER_SETTING", "5", "5", "x",
+           [](const ExperimentEnv& e) {
+             return std::to_string(e.graphs_per_setting);
+           }},
+          {"GBIS_STARTS", "4", "4", "4294967297",
+           [](const ExperimentEnv& e) { return std::to_string(e.starts); }},
+          {"GBIS_SEED", "7", "7", "-7",
+           [](const ExperimentEnv& e) { return std::to_string(e.seed); }},
+          // The env form of the global --threads for every subcommand.
+          {"GBIS_THREADS", "3", "3", "abc",
+           [](const ExperimentEnv& e) { return std::to_string(e.threads); }},
+          {"GBIS_SA_LENGTH", "16", std::to_string(16.0), "-1",
+           [](const ExperimentEnv& e) {
+             return std::to_string(e.sa_length_factor);
+           }},
+          {"GBIS_CSV_DIR", "/tmp/csv", "/tmp/csv", "",
+           [](const ExperimentEnv& e) { return e.csv_dir; }},
+      });
+  check_env_rows<FaultPlan>(
+      [](FaultPlan& plan) { return KnobTable{fault_plan_knob(plan)}; },
+      FaultPlan::from_env,
+      {
+          {"GBIS_FAULTS", "throw@trial:4", "1", "not-a-spec",
+           [](const FaultPlan& p) { return std::to_string(p.size()); }},
+      });
 }
 
 // --- The mutate op and warm-start solves -----------------------------------

@@ -1,44 +1,18 @@
-// gbis — the command-line front end. Everything the library does,
-// scriptable:
-//
-//   gbis gen <model> <args...> <out.graph>        generate an instance
-//     models: gbreg <2n> <b> <d> | g2set <2n> <deg> <b> | gnp <n> <deg>
-//             grid <rows> <cols> | ladder <rungs> | bintree <n>
-//             geometric <n> <deg> | smallworld <n> <k> <beta>
-//             prefattach <n> <m>
-//   gbis solve <in.graph> <method> [out.part]     bisect (kl sa ckl csa
-//                                                 fm cfm mlkl greedy path
-//                                                 greedy_hc spectral
-//                                                 random quench)
-//   gbis campaign <methods-csv> <graph...>        fault-isolated trial
-//     [--starts N] [--deadline S]                 matrix with optional
-//     [--journal J] [--resume J]                  checkpointing/resume
-//   gbis kway <in.graph> <k> [out.part]           recursive k-way (CKL)
-//   gbis eval <in.graph> <in.part>                score a partition
-//   gbis stats <in.graph>                         structural report
-//   gbis convert <in.graph> <out.{graph|metis|dot}>
-//   gbis serve [--replay FILE] [flags]            NDJSON partition
-//                                                 service on stdin/
-//                                                 stdout (docs/
-//                                                 SERVICE.md)
-//
+// gbis — the command-line front end: gen, solve, campaign, kway, eval,
+// stats, convert and serve — everything the library does, scriptable.
 // Graph files are gbis edge-list format unless the name ends in
-// ".metis". Global flags, accepted anywhere: --seed <n> (default 42),
-// --threads <n> (trial-runner workers; default 0 = hardware
-// concurrency; cuts are identical for any value), plus the
-// observability trio --metrics <file> / --trace-dir <dir> /
-// --progress (env forms GBIS_METRICS / GBIS_TRACE_DIR /
-// GBIS_PROGRESS; the flags win). `--help` prints the full reference.
+// ".metis". Every flag and GBIS_* variable is one knob row
+// (util/knobs); `gbis --help` renders the full reference from the rows.
 //
 // Exit codes: 0 success, 1 internal error, 2 usage error, 3 I/O error,
 // 130 interrupted (SIGINT/SIGTERM; campaigns journal first). All
 // diagnostics go to stderr; stdout carries only results.
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "gbis/baseline/hill_climb.hpp"
@@ -50,6 +24,8 @@
 #include "gbis/graph/analysis.hpp"
 #include "gbis/graph/ops.hpp"
 #include "gbis/harness/checkpoint.hpp"
+#include "gbis/harness/experiments.hpp"
+#include "gbis/harness/fault_injection.hpp"
 #include "gbis/harness/runner.hpp"
 #include "gbis/harness/shutdown.hpp"
 #include "gbis/harness/table.hpp"
@@ -71,6 +47,7 @@
 #include "gbis/svc/listener.hpp"
 #include "gbis/svc/scheduler.hpp"
 #include "gbis/util/json_lite.hpp"
+#include "gbis/util/knobs.hpp"
 
 #include <fstream>
 
@@ -85,7 +62,68 @@ constexpr int kExitUsage = 2;
 constexpr int kExitIo = 3;
 constexpr int kExitInterrupted = 130;  // 128 + SIGINT, shell convention
 
+/// Everything the command line and the GBIS_* environment configure:
+/// the knob tables below fill it, and --help renders them.
+struct Cli {
+  std::uint64_t seed = 42;
+  std::uint32_t threads = 0;  // 0 = hardware concurrency
+  ObsOptions obs;
+  RunConfig run;  // campaign --starts / --deadline
+  CampaignOptions campaign;
+  FaultPlan faults;
+  SvcOptions svc;
+  ListenerOptions listen;
+  std::string replay_path;
+  std::string stats_path;
+  double stats_interval = 10.0;
+};
+
+KnobTable concat(std::initializer_list<KnobTable> tables) {
+  KnobTable rows;
+  for (const KnobTable& table : tables) {
+    rows.insert(rows.end(), table.begin(), table.end());
+  }
+  return rows;
+}
+
+KnobTable global_knobs(Cli& c) {
+  return concat({{{"--seed", nullptr, "N", "base seed (default 42)",
+                   whole(c.seed)},
+                  threads_knob(c.threads)},
+                 obs_knobs(c.obs)});
+}
+
+KnobTable campaign_knobs(Cli& c) {
+  return {
+      {"--starts", nullptr, "N", "independent starts per cell (default 2)",
+       whole(c.run.starts, 1)},
+      {"--deadline", nullptr, "S",
+       "per-trial budget in seconds (default: none)",
+       non_negative(c.run.trial_deadline)},
+      {"--journal", nullptr, "J", "checkpoint completed trials to JSONL file J",
+       path(c.campaign.journal_path)},
+      {"--resume", nullptr, "J", "adopt completed trials from J and continue",
+       path(c.campaign.resume_path)},
+      fault_plan_knob(c.faults),
+  };
+}
+
+KnobTable serve_knobs(Cli& c) {
+  return concat(
+      {{{"--replay", nullptr, "FILE",
+         "read requests from FILE instead of stdin", path(c.replay_path)}},
+       svc_knobs(c.svc),
+       {{"--stats-file", nullptr, "F",
+         "republish a Prometheus text exposition to F (atomic rename), plus "
+         "once at exit",
+         path(c.stats_path)},
+        {"--stats-interval", nullptr, "S", "seconds between republishes (10)",
+         positive(c.stats_interval)}},
+       listener_knobs(c.listen)});
+}
+
 void print_help(std::ostream& out) {
+  Cli cli;
   out << "gbis — graph bisection toolkit (KL / SA / compaction)\n"
          "\n"
          "usage: gbis [--seed N] [--threads N] <command> <args...>\n"
@@ -101,12 +139,9 @@ void print_help(std::ostream& out) {
          "      spectral random quench\n"
          "  campaign <methods-csv> <graph...> [flags]\n"
          "      runs every (graph, method, start) as a fault-isolated\n"
-         "      trial; failures degrade cells instead of aborting\n"
-         "      --starts N     independent starts per cell (default 2)\n"
-         "      --deadline S   per-trial budget in seconds (default: none)\n"
-         "      --journal J    checkpoint completed trials to JSONL file J\n"
-         "      --resume J     adopt completed trials from J and continue\n"
-         "  kway <in.graph> <k> [out.part]      recursive k-way (CKL)\n"
+         "      trial; failures degrade cells instead of aborting\n";
+  print_knob_help(out, campaign_knobs(cli), 6);
+  out << "  kway <in.graph> <k> [out.part]      recursive k-way (CKL)\n"
          "  eval <in.graph> <in.part>           score a partition\n"
          "  stats <in.graph>                    structural report\n"
          "  convert <in.graph> <out.{graph|metis|dot}>\n"
@@ -114,66 +149,9 @@ void print_help(std::ostream& out) {
          "      one request object per stdin line, one response per\n"
          "      stdout line, in request order (schema: docs/SERVICE.md).\n"
          "      Response streams are byte-identical for any --threads /\n"
-         "      GBIS_THREADS value.\n"
-         "      --replay FILE  read requests from FILE instead of stdin\n"
-         "      --batch N      dispatch window / coalescing width (16)\n"
-         "      --max-queue N  admission bound; overflow is rejected (256)\n"
-         "      --cache-mb N   result-cache budget in MiB, 0 = off (64;\n"
-         "                     env GBIS_SVC_CACHE_MB, flag wins)\n"
-         "      --cache-file F durable result-cache journal; a restart\n"
-         "                     replays it so pre-crash solves answer as\n"
-         "                     byte-identical warm hits (env\n"
-         "                     GBIS_SVC_CACHE_FILE, flag wins)\n"
-         "      --graph-mb N   graph-store budget in MiB for graphs\n"
-         "                     referenced by fingerprint (256; env\n"
-         "                     GBIS_SVC_GRAPH_MB, flag wins)\n"
-         "      --no-warm      disable lineage warm-start solves; every\n"
-         "                     solve runs the cold portfolio (env\n"
-         "                     GBIS_SVC_WARM=0)\n"
-         "      --no-brownout  disable the overload brownout ladder\n"
-         "                     (env GBIS_SVC_BROWNOUT=0)\n"
-         "      --brownout-window N  cold solves in the deadline-miss\n"
-         "                     window the brownout controller watches\n"
-         "                     (32; env GBIS_SVC_BROWNOUT_WINDOW)\n"
-         "      --budget N     default trials per solve request (2)\n"
-         "      --quality Q    default ladder rung for auto solves:\n"
-         "                     fast|balanced|best (best; env\n"
-         "                     GBIS_SVC_QUALITY, flag wins)\n"
-         "      --deadline S   default per-request deadline (none)\n"
-         "      --access-log F append one JSON line per request to F\n"
-         "                     (env GBIS_SVC_ACCESS_LOG, flag wins)\n"
-         "      --access-log-max-mb N  rotate the access log to F.1 when\n"
-         "                     appending would cross N MiB (0 = unbounded;\n"
-         "                     env GBIS_SVC_ACCESS_LOG_MAX_MB)\n"
-         "      --flight-file F arm the flight recorder: SIGQUIT and the\n"
-         "                     crash path dump recent + in-flight request\n"
-         "                     spans to F as JSONL (env GBIS_SVC_FLIGHT)\n"
-         "      --flight-ring N completed span sets the recorder retains\n"
-         "                     (64; env GBIS_SVC_FLIGHT_RING)\n"
-         "      --slow-ms M    sample requests slower than M ms into\n"
-         "                     <trace-dir>/trace.json (0 = all; env\n"
-         "                     GBIS_SVC_SLOW_MS, flag wins)\n"
-         "      --stats-file F republish a Prometheus text exposition\n"
-         "                     to F (atomic rename), plus once at exit\n"
-         "      --stats-interval S  seconds between republishes (10)\n"
-         "      --listen HOST:PORT  serve NDJSON over TCP instead of\n"
-         "                     stdio (port 0 = ephemeral; env\n"
-         "                     GBIS_SVC_LISTEN, flag wins)\n"
-         "      --listen-unix PATH  ditto on a Unix-domain socket (env\n"
-         "                     GBIS_SVC_LISTEN_UNIX); both listeners may\n"
-         "                     run at once; neither combines with\n"
-         "                     --replay\n"
-         "      --max-conns N  connection bound; accepts beyond it get\n"
-         "                     one structured reject line (1024)\n"
-         "      --conn-quota N per-connection in-flight request bound\n"
-         "                     (64)\n"
-         "      --write-timeout S  disconnect a client making no read\n"
-         "                     progress for S seconds (10)\n"
-         "      --max-line-bytes N  reject request lines longer than N\n"
-         "                     bytes and resync (4194304)\n"
-         "      --ready-file F publish the bound endpoints to F once\n"
-         "                     listening (how scripts find port 0)\n"
-         "      Runs a single-threaded poll(2) loop; SIGINT/SIGTERM\n"
+         "      GBIS_THREADS value.\n";
+  print_knob_help(out, serve_knobs(cli), 6);
+  out << "      Runs a single-threaded poll(2) loop; SIGINT/SIGTERM\n"
          "      stops accepting, answers everything admitted, and exits\n"
          "      130; a second signal skips the pending answers and just\n"
          "      flushes logs before exiting 130. Per-connection response\n"
@@ -185,16 +163,9 @@ void print_help(std::ostream& out) {
          "      recent request spans (or one set by trace id). --progress\n"
          "      shows a live requests/s line on stderr.\n"
          "\n"
-         "global flags:\n"
-         "  --seed N        base seed (default 42)\n"
-         "  --threads N     trial-runner workers (default 0 = hardware\n"
-         "                  concurrency; cuts are bit-identical for any\n"
-         "                  value)\n"
-         "  --metrics FILE  write aggregated per-trial metrics JSON\n"
-         "  --trace-dir D   write convergence.{jsonl,csv} and a Chrome/\n"
-         "                  Perfetto trace.json under directory D\n"
-         "  --progress      live stderr progress line for trial batches\n"
-         "\n"
+         "global flags (accepted anywhere on the command line):\n";
+  print_knob_help(out, global_knobs(cli), 2);
+  out << "\n"
          "exit codes:\n"
          "  0    success\n"
          "  1    internal error (bug or unexpected failure)\n"
@@ -204,20 +175,10 @@ void print_help(std::ostream& out) {
          "       flushes its journal first and prints a --resume hint\n"
          "\n"
          "Diagnostics go to stderr; stdout carries only results.\n"
-         "GBIS_FAULTS=kind@trial:ID[,...] injects deterministic faults\n"
-         "into campaign trials (kinds: throw, hang, stop) — see\n"
-         "docs/ROBUSTNESS.md. GBIS_METRICS, GBIS_TRACE_DIR, and\n"
-         "GBIS_PROGRESS=1 are the environment forms of --metrics,\n"
-         "--trace-dir, and --progress (flags win); GBIS_SVC_CACHE_MB,\n"
-         "GBIS_SVC_CACHE_FILE, GBIS_SVC_ACCESS_LOG, GBIS_SVC_SLOW_MS,\n"
-         "GBIS_SVC_BROWNOUT, GBIS_SVC_BROWNOUT_WINDOW, GBIS_SVC_GRAPH_MB,\n"
-         "GBIS_SVC_WARM, GBIS_SVC_QUALITY, GBIS_SVC_FLIGHT,\n"
-         "GBIS_SVC_FLIGHT_RING, and GBIS_SVC_ACCESS_LOG_MAX_MB do the same\n"
-         "for the serve flags; GBIS_SVC_FAULTS=kind@site:N[,...] injects\n"
-         "service-scoped faults (kinds: throw, hang, oom, crash; sites:\n"
-         "req, solve, batch) — see docs/OBSERVABILITY.md,\n"
-         "docs/SERVICE.md, docs/ROBUSTNESS.md, and the README env-var\n"
-         "table.\n";
+         "A flag wins over its [env] variable. A malformed flag value is a\n"
+         "usage error; a malformed variable warns on stderr and keeps the\n"
+         "default. See docs/OBSERVABILITY.md, docs/SERVICE.md,\n"
+         "docs/ROBUSTNESS.md, and the README env table.\n";
 }
 
 [[noreturn]] void usage() {
@@ -249,13 +210,26 @@ void save_graph(const std::string& path, const Graph& g) {
   }
 }
 
-double to_double(const std::string& s) { return std::strtod(s.c_str(), nullptr); }
-std::uint64_t to_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
+/// Positional numbers go through the knob parsers; malformed text is a
+/// usage error.
+template <class T>
+T number(const std::string& text) {
+  T value{};
+  KnobSetter set;
+  if constexpr (std::is_floating_point_v<T>) {
+    set = non_negative(value);
+  } else {
+    set = whole(value);
+  }
+  if (const std::string why = set(text); !why.empty()) {
+    throw std::invalid_argument("malformed argument \"" + text + "\" (" +
+                                why + ")");
+  }
+  return value;
 }
-std::uint32_t to_u32(const std::string& s) {
-  return static_cast<std::uint32_t>(to_u64(s));
-}
+constexpr auto to_u32 = &number<std::uint32_t>;
+constexpr auto to_u64 = &number<std::uint64_t>;
+constexpr auto to_double = &number<double>;
 
 int cmd_gen(const std::vector<std::string>& args, Rng& rng) {
   if (args.size() < 2) usage();
@@ -306,7 +280,7 @@ Method parse_method(const std::string& name) {
 }
 
 int cmd_solve(const std::vector<std::string>& args, Rng& rng,
-              std::uint32_t threads, const ObsOptions& obs) {
+              const Cli& cli) {
   if (args.size() < 2 || args.size() > 3) usage();
   const Graph g = load_graph(args[0]);
 
@@ -323,8 +297,8 @@ int cmd_solve(const std::vector<std::string>& args, Rng& rng,
     const Method method = parse_method(args[1]);
     RunConfig config;
     config.starts = 2;
-    config.threads = threads;
-    config.obs = obs;
+    config.threads = cli.threads;
+    config.obs = cli.obs;
     const RunResult result = run_method(g, method, rng, config, &sides);
     cut = result.best_cut;
     std::cout << "cut " << cut << " in " << result.cpu_seconds
@@ -373,34 +347,19 @@ std::vector<Method> parse_method_csv(const std::string& csv) {
   return methods;
 }
 
-int cmd_campaign(const std::vector<std::string>& args, std::uint64_t seed,
-                 std::uint32_t threads, const ObsOptions& obs) {
-  RunConfig config;
-  config.starts = 2;
-  config.threads = threads;
-  config.obs = obs;
-  CampaignOptions options;
-  std::vector<std::string> positional;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto flag_value = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) usage();
-      return args[++i];
-    };
-    if (arg == "--starts") {
-      config.starts = to_u32(flag_value());
-      if (config.starts == 0) usage();
-    } else if (arg == "--deadline") {
-      config.trial_deadline = to_double(flag_value());
-    } else if (arg == "--journal") {
-      options.journal_path = flag_value();
-    } else if (arg == "--resume") {
-      options.resume_path = flag_value();
-    } else if (!arg.empty() && arg[0] == '-') {
+int cmd_campaign(const std::vector<std::string>& args, Cli& cli) {
+  RunConfig& config = cli.run;
+  config.threads = cli.threads;
+  config.obs = cli.obs;
+  CampaignOptions& options = cli.campaign;
+  const KnobTable rows = campaign_knobs(cli);
+  apply_env(rows);
+  options.faults = &cli.faults;
+  const std::vector<std::string> positional = apply_flags(rows, args);
+  for (const std::string& arg : positional) {
+    if (!arg.empty() && arg[0] == '-') {
       std::cerr << "campaign: unknown flag " << arg << '\n';
       usage();
-    } else {
-      positional.push_back(arg);
     }
   }
   if (positional.size() < 2) usage();
@@ -422,7 +381,7 @@ int cmd_campaign(const std::vector<std::string>& args, std::uint64_t seed,
 
   const WallTimer timer;
   const CampaignResult result =
-      run_campaign(graphs, methods, config, seed, options);
+      run_campaign(graphs, methods, config, cli.seed, options);
 
   // Per-cell table: best cut for ok cells, the status marker otherwise.
   std::vector<TablePrinter::Column> columns{{"graph", 20}};
@@ -529,110 +488,23 @@ int cmd_convert(const std::vector<std::string>& args) {
   return kExitOk;
 }
 
-int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
-              std::uint32_t threads, const ObsOptions& obs) {
-  // Env first (GBIS_SVC_CACHE_MB / GBIS_SVC_ACCESS_LOG /
-  // GBIS_SVC_SLOW_MS), explicit flags override — the same precedence
-  // as the observability knobs.
-  SvcOptions options = svc_options_from_env(SvcOptions{});
-  options.default_seed = seed;
-  options.threads = threads;
-  ListenerOptions listen = listener_options_from_env(ListenerOptions{});
-  std::string replay_path;
-  std::string stats_path;
-  double stats_interval = 10.0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto flag_value = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) usage();
-      return args[++i];
-    };
-    if (arg == "--replay") {
-      replay_path = flag_value();
-    } else if (arg == "--batch") {
-      options.batch_size = to_u64(flag_value());
-      if (options.batch_size == 0) usage();
-    } else if (arg == "--max-queue") {
-      options.max_queue = to_u64(flag_value());
-      if (options.max_queue == 0) usage();
-    } else if (arg == "--cache-mb") {
-      options.cache_bytes = to_u64(flag_value()) << 20;
-    } else if (arg == "--cache-file") {
-      options.cache_file = flag_value();
-      if (options.cache_file.empty()) usage();
-    } else if (arg == "--graph-mb") {
-      options.graph_store_bytes = to_u64(flag_value()) << 20;
-    } else if (arg == "--no-warm") {
-      options.warm = false;
-    } else if (arg == "--no-brownout") {
-      options.brownout = false;
-    } else if (arg == "--brownout-window") {
-      options.brownout_window = to_u32(flag_value());
-      if (options.brownout_window == 0) usage();
-    } else if (arg == "--budget") {
-      options.default_budget = to_u32(flag_value());
-      if (options.default_budget == 0) usage();
-    } else if (arg == "--quality") {
-      if (!quality_tier_from_name(flag_value(), options.default_quality)) {
-        std::cerr << "serve: unknown quality tier\n";
-        usage();
-      }
-    } else if (arg == "--deadline") {
-      options.default_deadline_seconds = to_double(flag_value());
-    } else if (arg == "--access-log") {
-      options.access_log_path = flag_value();
-      if (options.access_log_path.empty()) usage();
-    } else if (arg == "--access-log-max-mb") {
-      options.access_log_max_mb = to_u64(flag_value());
-    } else if (arg == "--flight-file") {
-      options.flight_file = flag_value();
-      if (options.flight_file.empty()) usage();
-    } else if (arg == "--flight-ring") {
-      options.flight_ring = to_u64(flag_value());
-      if (options.flight_ring == 0) usage();
-    } else if (arg == "--slow-ms") {
-      options.slow_ms = to_double(flag_value());
-      if (!(options.slow_ms >= 0)) usage();
-    } else if (arg == "--stats-file") {
-      stats_path = flag_value();
-      if (stats_path.empty()) usage();
-    } else if (arg == "--stats-interval") {
-      stats_interval = to_double(flag_value());
-      if (!(stats_interval > 0)) usage();
-    } else if (arg == "--listen") {
-      listen.tcp_endpoint = flag_value();
-      if (listen.tcp_endpoint.empty()) usage();
-    } else if (arg == "--listen-unix") {
-      listen.unix_path = flag_value();
-      if (listen.unix_path.empty()) usage();
-    } else if (arg == "--max-conns") {
-      listen.max_connections = to_u64(flag_value());
-      if (listen.max_connections == 0) usage();
-    } else if (arg == "--conn-quota") {
-      listen.conn_request_quota = to_u64(flag_value());
-      if (listen.conn_request_quota == 0) usage();
-    } else if (arg == "--write-timeout") {
-      listen.write_timeout_seconds = to_double(flag_value());
-      if (!(listen.write_timeout_seconds > 0)) usage();
-    } else if (arg == "--max-line-bytes") {
-      listen.max_line_bytes = to_u64(flag_value());
-      if (listen.max_line_bytes == 0) usage();
-    } else if (arg == "--ready-file") {
-      listen.ready_file = flag_value();
-      if (listen.ready_file.empty()) usage();
-    } else {
-      std::cerr << "serve: unknown argument " << arg << '\n';
-      usage();
-    }
+int cmd_serve(const std::vector<std::string>& args, Cli& cli) {
+  // Env first, explicit flags override — the same precedence as the
+  // global knobs.
+  const KnobTable rows = serve_knobs(cli);
+  apply_env(rows);
+  if (const auto rest = apply_flags(rows, args); !rest.empty()) {
+    std::cerr << "serve: unknown argument " << rest.front() << '\n';
+    usage();
   }
-  // The serve loop honors GBIS_THREADS like the experiment binaries
-  // (an explicit --threads value wins; both produce identical bytes).
-  if (options.threads == 0) {
-    if (const char* v = std::getenv("GBIS_THREADS"); v != nullptr) {
-      options.threads =
-          static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    }
-  }
+  SvcOptions& options = cli.svc;
+  options.default_seed = cli.seed;
+  options.threads = cli.threads;
+  ListenerOptions& listen = cli.listen;
+  const std::string& replay_path = cli.replay_path;
+  const std::string& stats_path = cli.stats_path;
+  const double stats_interval = cli.stats_interval;
+  const ObsOptions& obs = cli.obs;
 
   // Socket mode and the stdio determinism harness are distinct modes:
   // --replay exists to assert byte-identical response streams, which
@@ -825,51 +697,32 @@ int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  std::uint64_t seed = 42;
-  std::uint32_t threads = 0;  // 0 = hardware concurrency
-  // Env first (GBIS_METRICS / GBIS_TRACE_DIR / GBIS_PROGRESS), then the
-  // explicit flags below override it.
-  ObsOptions obs = obs_options_from_env();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0 ||
-        std::strcmp(argv[i], "help") == 0) {
+  const std::vector<std::string> argv_tail(argv + 1, argv + argc);
+  for (const std::string& arg : argv_tail) {
+    if (arg == "--help" || arg == "-h" || arg == "help") {
       print_help(std::cout);
       return kExitOk;
     }
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      if (i + 1 >= argc) usage();  // dangling flag: don't eat it as a path
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 >= argc) usage();
-      threads =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      if (i + 1 >= argc) usage();
-      obs.metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-dir") == 0) {
-      if (i + 1 >= argc) usage();
-      obs.trace_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      obs.progress = true;
-    } else {
-      args.emplace_back(argv[i]);
-    }
   }
-  if (args.empty()) usage();
-  const std::string command = args.front();
-  args.erase(args.begin());
-  Rng rng(seed);
+  Cli cli;
   try {
+    // Env first (GBIS_THREADS / GBIS_METRICS / ...), then the explicit
+    // flags, accepted anywhere on the command line, override it.
+    const KnobTable global = global_knobs(cli);
+    apply_env(global);
+    std::vector<std::string> args = apply_flags(global, argv_tail);
+    if (args.empty()) usage();
+    const std::string command = args.front();
+    args.erase(args.begin());
+    Rng rng(cli.seed);
     if (command == "gen") return cmd_gen(args, rng);
-    if (command == "solve") return cmd_solve(args, rng, threads, obs);
-    if (command == "campaign") return cmd_campaign(args, seed, threads, obs);
+    if (command == "solve") return cmd_solve(args, rng, cli);
+    if (command == "campaign") return cmd_campaign(args, cli);
     if (command == "kway") return cmd_kway(args, rng);
     if (command == "eval") return cmd_eval(args);
     if (command == "stats") return cmd_stats(args);
     if (command == "convert") return cmd_convert(args);
-    if (command == "serve") return cmd_serve(args, seed, threads, obs);
+    if (command == "serve") return cmd_serve(args, cli);
   } catch (const IoError& error) {
     std::cerr << "error: " << error.what() << '\n';
     return kExitIo;
