@@ -54,8 +54,7 @@ double percent_improvement(double before, double after) {
     // A zero baseline has no meaningful percentage. Both zero means
     // "nothing to improve" (0%); otherwise return NaN rather than a
     // fake 0% that would mask a regression from a zero-cut baseline
-    // (disconnected instances, component_pack). The table printer
-    // renders NaN as "n/a".
+    // (disconnected instances). The table printer renders NaN as "n/a".
     return after == 0.0 ? 0.0 : std::numeric_limits<double>::quiet_NaN();
   }
   return (before - after) / before * 100.0;

@@ -1,9 +1,10 @@
 // Deterministic stride-doubling decimation, shared by the convergence
-// trace (MetricsSink), request span lists (SpanBuffer) and slow-request
-// samples (Service). Once `capacity` items are held, every other held
-// item is dropped and the keep-stride doubles. Which offered items are
-// kept is a pure function of the offered sequence — unlike reservoir
-// sampling — so the kept set is bit-identical for any thread count.
+// trace (MetricsSink), request span lists (SpanBuffer) and the slow
+// request span sets serve keeps for its Chrome trace (Service). Once
+// `capacity` items are held, every other held item is dropped and the
+// keep-stride doubles. Which offered items are kept is a pure function
+// of the offered sequence — unlike reservoir sampling — so the kept set
+// is bit-identical for any thread count.
 #pragma once
 
 #include <cstddef>

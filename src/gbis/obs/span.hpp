@@ -17,8 +17,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,12 +90,18 @@ class SpanBuffer {
   StrideDecimator decimator_{kDefaultCapacity};
 };
 
-/// Chrome trace-event dump of completed span sets (the `spans.json`
-/// companion of the slow-sample trace.json): one "request" lane, one
-/// complete event per span with trace/seq/step/cut args. Wall-clock
-/// placement, outside the determinism contract like every Chrome
-/// trace.
+/// Chrome trace-event JSON of completed span sets: serve's one
+/// `<trace-dir>/trace.json` (the --slow-ms kept sets). Per set, one
+/// "request" envelope event (first span start to last span end; args
+/// trace/seq/id/op/status) followed by one complete event per span with
+/// trace/seq/step/cut args, all on one lane. `ts`/`dur` are wall-clock
+/// placement, outside the determinism contract like every Chrome trace;
+/// every other byte is a pure function of the sets.
 void write_span_chrome_trace(std::ostream& out,
-                             const std::deque<SpanSet>& sets);
+                             std::span<const SpanSet> sets);
+
+/// Wall-clock seconds to whole microseconds (rounded; non-positive and
+/// NaN give 0) — the one conversion behind every serve "_us" value.
+std::uint64_t to_us(double seconds);
 
 }  // namespace gbis

@@ -1,10 +1,10 @@
 #include "gbis/obs/trace.hpp"
 
-#include <cstdlib>
 #include <limits>
 #include <ostream>
 
 #include "gbis/io/io_error.hpp"
+#include "gbis/util/json_lite.hpp"
 
 namespace gbis {
 
@@ -17,74 +17,27 @@ void write_aux(std::ostream& out, double aux) {
   out.precision(precision);
 }
 
-/// Flat one-line JSON field scan (the checkpoint-journal convention:
-/// keys are fixed identifiers, values are unquoted numbers or short
-/// quoted names, so a substring find is exact).
-std::size_t find_value(const std::string& line, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::string::npos;
-  return at + needle.size();
+[[noreturn]] void bad_field(const char* key, const std::string& line) {
+  throw IoError("convergence: bad or missing \"" + std::string(key) +
+                "\" in: " + line);
 }
 
-std::uint64_t parse_u64(const std::string& line, const char* key) {
-  const std::size_t i = find_value(line, key);
-  if (i == std::string::npos) {
-    throw IoError("convergence: missing \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(line.c_str() + i, &end, 10);
-  if (end == line.c_str() + i) {
-    throw IoError("convergence: bad \"" + std::string(key) +
-                  "\" in: " + line);
-  }
+/// One field of a convergence line through the shared flat-JSON
+/// scanner; a missing or malformed value throws naming the field.
+template <class T>
+T field(const std::string& line, const char* key,
+        bool (*parse)(const std::string&, const std::string&, T&)) {
+  T value{};
+  if (!parse(line, key, value)) bad_field(key, line);
   return value;
 }
 
-std::int64_t parse_i64(const std::string& line, const char* key) {
-  const std::size_t i = find_value(line, key);
-  if (i == std::string::npos) {
-    throw IoError("convergence: missing \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  char* end = nullptr;
-  const std::int64_t value = std::strtoll(line.c_str() + i, &end, 10);
-  if (end == line.c_str() + i) {
-    throw IoError("convergence: bad \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  return value;
-}
-
-double parse_double(const std::string& line, const char* key) {
-  const std::size_t i = find_value(line, key);
-  if (i == std::string::npos) {
-    throw IoError("convergence: missing \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  char* end = nullptr;
-  const double value = std::strtod(line.c_str() + i, &end);
-  if (end == line.c_str() + i) {
-    throw IoError("convergence: bad \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  return value;
-}
-
-std::string parse_name(const std::string& line, const char* key) {
-  std::size_t i = find_value(line, key);
-  if (i == std::string::npos || i >= line.size() || line[i] != '"') {
-    throw IoError("convergence: missing \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  ++i;
-  const std::size_t close = line.find('"', i);
-  if (close == std::string::npos) {
-    throw IoError("convergence: unterminated \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  return line.substr(i, close - i);
+/// Graph and start indices are 32-bit: a larger value is malformed,
+/// not truncated.
+std::uint32_t field_u32(const std::string& line, const char* key) {
+  const std::uint64_t value = field(line, key, json_parse_u64);
+  if (value > std::numeric_limits<std::uint32_t>::max()) bad_field(key, line);
+  return static_cast<std::uint32_t>(value);
 }
 
 TraceSource source_from_name(const std::string& name,
@@ -140,15 +93,16 @@ void write_convergence_csv(std::ostream& out,
 
 ConvergenceLine parse_convergence_line(const std::string& line) {
   ConvergenceLine parsed;
-  parsed.trial = parse_u64(line, "trial");
-  parsed.graph = static_cast<std::uint32_t>(parse_u64(line, "graph"));
-  parsed.method = parse_name(line, "method");
-  parsed.start = static_cast<std::uint32_t>(parse_u64(line, "start"));
-  parsed.point.step = parse_u64(line, "step");
-  parsed.point.source = source_from_name(parse_name(line, "source"), line);
-  parsed.point.cut = parse_i64(line, "cut");
-  parsed.point.best = parse_i64(line, "best");
-  parsed.point.aux = parse_double(line, "aux");
+  parsed.trial = field(line, "trial", json_parse_u64);
+  parsed.graph = field_u32(line, "graph");
+  parsed.method = field(line, "method", json_parse_string);
+  parsed.start = field_u32(line, "start");
+  parsed.point.step = field(line, "step", json_parse_u64);
+  parsed.point.source =
+      source_from_name(field(line, "source", json_parse_string), line);
+  parsed.point.cut = field(line, "cut", json_parse_i64);
+  parsed.point.best = field(line, "best", json_parse_i64);
+  parsed.point.aux = field(line, "aux", json_parse_double);
   return parsed;
 }
 

@@ -1,7 +1,5 @@
 #include "gbis/obs/trace_export.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -12,6 +10,7 @@
 #include "gbis/harness/stats.hpp"
 #include "gbis/io/io_error.hpp"
 #include "gbis/obs/trace.hpp"
+#include "gbis/util/json_lite.hpp"
 
 namespace gbis {
 
@@ -22,29 +21,6 @@ void write_us(std::ostream& out, double seconds) {
   out.precision(std::numeric_limits<double>::max_digits10);
   out << seconds * 1e6;
   out.precision(precision);
-}
-
-void write_json_string(std::ostream& out, const std::string& value) {
-  out << '"';
-  for (const char raw : value) {
-    const auto c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << raw;
-        }
-    }
-  }
-  out << '"';
 }
 
 }  // namespace
@@ -105,12 +81,13 @@ void write_chrome_trace(std::ostream& out,
     const TrialMetrics& tm = *result.metrics;
     const TrialSpec& spec = trials[i];
 
+    std::string name;
+    append_json_string(name, method_name(spec.method) + " g" +
+                                 std::to_string(spec.graph_index) + " s" +
+                                 std::to_string(spec.start_index));
     begin_event();
-    out << "{\"name\":";
-    write_json_string(out, method_name(spec.method) + " g" +
-                               std::to_string(spec.graph_index) + " s" +
-                               std::to_string(spec.start_index));
-    out << ",\"cat\":\"trial\",\"ph\":\"X\",\"ts\":";
+    out << "{\"name\":" << name
+        << ",\"cat\":\"trial\",\"ph\":\"X\",\"ts\":";
     write_us(out, tm.start_offset_seconds);
     out << ",\"dur\":";
     write_us(out, tm.wall_seconds);
@@ -120,8 +97,9 @@ void write_chrome_trace(std::ostream& out,
       out << ",\"cut\":" << result.cut;
     }
     if (!result.error.empty()) {
-      out << ",\"error\":";
-      write_json_string(out, result.error);
+      std::string error;
+      append_json_string(error, result.error);
+      out << ",\"error\":" << error;
     }
     out << "}}";
 
@@ -135,63 +113,6 @@ void write_chrome_trace(std::ostream& out,
       out << ",\"pid\":0,\"tid\":" << tm.tid
           << ",\"args\":{\"trial\":" << i << "}}";
     }
-  }
-  out << "\n]}\n";
-}
-
-void write_svc_trace(std::ostream& out,
-                     std::span<const SvcSlowSample> samples) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto begin_event = [&] {
-    if (!first) out << ",";
-    first = false;
-    out << "\n";
-  };
-  for (const SvcSlowSample& sample : samples) {
-    begin_event();
-    out << "{\"name\":";
-    write_json_string(out, "req " + std::to_string(sample.seq) +
-                               (sample.id.empty() ? "" : " " + sample.id));
-    out << ",\"cat\":\"request\",\"ph\":\"X\",\"ts\":";
-    write_us(out, sample.submit_seconds);
-    out << ",\"dur\":";
-    write_us(out, sample.total_seconds);
-    out << ",\"pid\":0,\"tid\":0,\"args\":{\"seq\":" << sample.seq
-        << ",\"id\":";
-    write_json_string(out, sample.id);
-    if (!sample.method.empty()) {
-      out << ",\"method\":";
-      write_json_string(out, sample.method);
-    }
-    if (!sample.cache.empty()) {
-      out << ",\"cache\":";
-      write_json_string(out, sample.cache);
-    }
-    out << ",\"status\":";
-    write_json_string(out, sample.status);
-    out << "}}";
-
-    const auto sub_span = [&](const char* name, double start, double dur) {
-      if (dur <= 0) return;
-      begin_event();
-      out << "{\"name\":\"" << name
-          << "\",\"cat\":\"svc_phase\",\"ph\":\"X\",\"ts\":";
-      write_us(out, start);
-      out << ",\"dur\":";
-      write_us(out, dur);
-      out << ",\"pid\":0,\"tid\":0,\"args\":{\"seq\":" << sample.seq << "}}";
-    };
-    sub_span("queue", sample.submit_seconds, sample.queue_seconds);
-    sub_span("solve", sample.solve_start_seconds, sample.solve_seconds);
-    // Finalize covers the tail between the end of the solve (or the
-    // dispatch, for requests that never solved) and the response.
-    const double work_end = sample.solve_seconds > 0
-                                ? sample.solve_start_seconds +
-                                      sample.solve_seconds
-                                : sample.submit_seconds + sample.queue_seconds;
-    const double request_end = sample.submit_seconds + sample.total_seconds;
-    sub_span("finalize", work_end, request_end - work_end);
   }
   out << "\n]}\n";
 }

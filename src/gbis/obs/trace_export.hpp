@@ -42,29 +42,4 @@ void export_observability(const ObsOptions& obs,
                           std::span<const TrialResult> results,
                           std::span<const TrialSpec> trials);
 
-/// One sampled slow service request (svc/scheduler records these for
-/// requests whose total latency reaches `--slow-ms`, capped by the
-/// same deterministic stride-doubling decimation the convergence trace
-/// uses). All times are wall-clock seconds relative to the service
-/// epoch (construction) — timing values are nondeterministic; the
-/// *set of sampled seqs* under a 0 ms threshold is not.
-struct SvcSlowSample {
-  std::uint64_t seq = 0;  ///< request ordinal (access-log "seq")
-  std::string id;
-  std::string method;  ///< requested method selector ("" for non-solve)
-  std::string cache;   ///< "hit" | "miss" | "coalesced" | ""
-  std::string status;  ///< "ok" | "error"
-  double submit_seconds = 0;       ///< request arrival
-  double queue_seconds = 0;        ///< submit -> batch dispatch
-  double solve_start_seconds = 0;  ///< cold-solve start (epoch-relative)
-  double solve_seconds = 0;        ///< cold-solve duration; 0 = no solve ran
-  double total_seconds = 0;        ///< submit -> response finalized
-};
-
-/// Writes the slow-request Chrome trace: one "request" span per sample
-/// (args: seq/id/cache/status) with "queue" / "solve" / "finalize"
-/// phase sub-spans, all on one lane (the service is single-driver).
-void write_svc_trace(std::ostream& out,
-                     std::span<const SvcSlowSample> samples);
-
 }  // namespace gbis

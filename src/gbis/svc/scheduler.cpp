@@ -40,11 +40,6 @@ const char* op_name(SvcRequest::Op op) {
   return "solve";
 }
 
-std::uint64_t to_us(double seconds) {
-  if (!(seconds > 0)) return 0;
-  return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
-}
-
 }  // namespace
 
 /// One queued request: everything phase 1 resolves (graph, solve
@@ -922,28 +917,6 @@ TrialMetrics Service::metrics_snapshot() const {
   return snapshot;
 }
 
-void Service::record_slow(const Pending& entry, double total_seconds) {
-  if (options_.slow_ms < 0) return;
-  if (total_seconds * 1000.0 < options_.slow_ms) return;
-  // At --slow-ms 0 every finalized request is offered, so the sampled
-  // set is a pure function of the request stream (obs/decimator).
-  if (!slow_decimator_.admit(slow_samples_)) return;
-  SvcSlowSample sample;
-  sample.seq = entry.seq;
-  sample.id = entry.request.id;
-  if (entry.request.op == SvcRequest::Op::kSolve) {
-    sample.method = entry.request.method;
-  }
-  sample.cache = entry.response.cache;
-  sample.status = entry.response.ok ? "ok" : "error";
-  sample.submit_seconds = entry.submit_seconds;
-  sample.queue_seconds = entry.dispatch_seconds - entry.submit_seconds;
-  sample.solve_start_seconds = entry.solve_start_seconds;
-  sample.solve_seconds = entry.solve_seconds;
-  sample.total_seconds = total_seconds;
-  slow_samples_.push_back(std::move(sample));
-}
-
 void Service::finalize_telemetry(Pending& entry, double now_seconds) {
   const double total = now_seconds - entry.submit_seconds;
   const double queue_wait = entry.dispatch_seconds - entry.submit_seconds;
@@ -986,7 +959,6 @@ void Service::finalize_telemetry(Pending& entry, double now_seconds) {
     logged.t_total_us = to_us(total);
     access_log_->append(logged);
   }
-  record_slow(entry, total);
   // Close out the span set: the worker's solve sub-spans (leaders
   // only) merge here on the dispatch thread in arrival order, then the
   // finalize/write bookends. The completed set replaces the in-flight
@@ -999,7 +971,15 @@ void Service::finalize_telemetry(Pending& entry, double now_seconds) {
   entry.mark("write", clock_.elapsed_seconds());
   metrics_.counters[static_cast<std::size_t>(Counter::kSvcTraceSpans)] +=
       entry.spans.size();
-  flight_->complete(entry.span_set(entry.response.ok ? "ok" : "error"));
+  SpanSet set = entry.span_set(entry.response.ok ? "ok" : "error");
+  // Slow sampling (--slow-ms) is a latency filter over completed sets.
+  // At 0 every request is offered, so the kept sets are a pure function
+  // of the request stream (obs/decimator).
+  if (options_.slow_ms >= 0 && total * 1000.0 >= options_.slow_ms &&
+      slow_decimator_.admit(slow_sets_)) {
+    slow_sets_.push_back(set);
+  }
+  flight_->complete(std::move(set));
   metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcFlightRing)] =
       static_cast<std::int64_t>(flight_->completed().size());
 }

@@ -39,7 +39,6 @@
 #include "gbis/harness/timer.hpp"
 #include "gbis/obs/flight_recorder.hpp"
 #include "gbis/obs/metrics.hpp"
-#include "gbis/obs/trace_export.hpp"
 #include "gbis/svc/access_log.hpp"
 #include "gbis/svc/cache.hpp"
 #include "gbis/svc/cache_store.hpp"
@@ -87,13 +86,13 @@ struct SvcOptions {
   std::string flight_file;
   /// Completed span sets held by the flight recorder's ring.
   std::uint32_t flight_ring = 64;
-  /// Slow-request sampling threshold in milliseconds: requests whose
-  /// total latency reaches it are recorded as SvcSlowSamples for the
-  /// Chrome trace. < 0 disables sampling; 0 samples every request
+  /// Slow-request sampling threshold in milliseconds: the completed
+  /// span sets of requests whose total latency reaches it are kept for
+  /// the Chrome trace. < 0 disables sampling; 0 samples every request
   /// (which is what makes the sampled *set* testable — see
   /// docs/SERVICE.md).
   double slow_ms = -1;
-  /// Slow samples held before stride-doubling decimation kicks in.
+  /// Slow span sets held before stride-doubling decimation kicks in.
   std::uint32_t slow_capacity = 128;
   /// Durable result-cache journal path (svc/cache_store); "" = the
   /// cache is memory-only. A warm restart replays the journal before
@@ -189,11 +188,10 @@ class Service {
   /// fresh, which is what the prom exposition and stats op use.
   const TrialMetrics& metrics() const { return metrics_; }
   TrialMetrics metrics_snapshot() const;
-  /// Slow requests sampled so far (options().slow_ms >= 0); feed to
-  /// write_svc_trace.
-  const std::vector<SvcSlowSample>& slow_samples() const {
-    return slow_samples_;
-  }
+  /// Completed span sets of the slow requests sampled so far
+  /// (options().slow_ms >= 0), in arrival order; feed to
+  /// write_span_chrome_trace.
+  const std::vector<SpanSet>& slow_sets() const { return slow_sets_; }
   /// False when the configured access log could not be opened.
   bool access_log_ok() const;
   /// False when the configured cache journal could not be opened for
@@ -245,7 +243,6 @@ class Service {
   /// a "trace" id) or the whole completed ring.
   void fill_trace(Pending& entry);
   void finalize_telemetry(Pending& entry, double now_seconds);
-  void record_slow(const Pending& entry, double total_seconds);
   static void fill_from_value(SvcResponse& response, const SvcCacheValue& value,
                               bool want_sides);
 
@@ -268,7 +265,7 @@ class Service {
   HistExemplars request_exemplars_;
   HistExemplars solve_exemplars_;
   HistExemplars queue_exemplars_;
-  std::vector<SvcSlowSample> slow_samples_;
+  std::vector<SpanSet> slow_sets_;
   WallTimer clock_;               ///< service epoch for all timings
   std::uint64_t next_seq_ = 0;    ///< request ordinal (access-log "seq")
   StrideDecimator slow_decimator_;

@@ -227,6 +227,60 @@ if(PYTHON3 AND DEFINED PROM_LINT)
   endif()
 endif()
 
+# Serve writes one Chrome trace: with --slow-ms 0 and --trace-dir D,
+# D holds only trace.json (the kept completed span sets), and with the
+# wall-clock "ts"/"dur" placement stripped its bytes are identical at
+# 1 and 8 workers. --trace-dir without --slow-ms writes nothing.
+foreach(threads 1 8)
+  set(dir ${WORK_DIR}/serve_trace${threads})
+  file(REMOVE_RECURSE ${dir})
+  set(ENV{GBIS_THREADS} ${threads})
+  execute_process(COMMAND ${GBIS_CLI} serve --replay ${WORK_DIR}/telem.ndjson
+      --slow-ms 0 --trace-dir ${dir}
+    RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
+  unset(ENV{GBIS_THREADS})
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR
+      "serve --trace-dir (${threads} threads) failed (${code}): ${err}")
+  endif()
+  file(GLOB listing RELATIVE ${dir} ${dir}/*)
+  if(NOT listing STREQUAL "trace.json")
+    message(FATAL_ERROR "serve --trace-dir wrote [${listing}], "
+      "expected only trace.json")
+  endif()
+  file(READ ${dir}/trace.json trace${threads})
+  string(REGEX REPLACE "\"ts\":[0-9]+,\"dur\":[0-9]+," "" trace${threads}_cmp
+    "${trace${threads}}")
+endforeach()
+if(NOT trace1 MATCHES "\"name\":\"request\",[^\n]*\"seq\":0,\"id\":\"t1\",\"op\":\"solve\",\"status\":\"ok\"")
+  message(FATAL_ERROR "serve trace.json lacks the t1 request envelope: ${trace1}")
+endif()
+if(NOT trace1 MATCHES "\"name\":\"write\"")
+  message(FATAL_ERROR "serve trace.json lacks completed span sets: ${trace1}")
+endif()
+if(NOT trace1_cmp STREQUAL trace8_cmp)
+  message(FATAL_ERROR
+    "serve trace.json differs across thread counts:\n"
+    "--- GBIS_THREADS=1 ---\n${trace1}\n--- GBIS_THREADS=8 ---\n${trace8}")
+endif()
+if(PYTHON3)
+  execute_process(COMMAND ${PYTHON3} -c
+      "import json,sys; json.load(open(sys.argv[1]))"
+      ${WORK_DIR}/serve_trace1/trace.json
+    RESULT_VARIABLE code ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "serve trace.json is not valid JSON: ${err}")
+  endif()
+endif()
+file(REMOVE_RECURSE ${WORK_DIR}/serve_trace_off)
+execute_process(COMMAND ${GBIS_CLI} serve --replay ${WORK_DIR}/telem.ndjson
+    --trace-dir ${WORK_DIR}/serve_trace_off
+  RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT code EQUAL 0 OR EXISTS ${WORK_DIR}/serve_trace_off)
+  message(FATAL_ERROR
+    "serve --trace-dir without --slow-ms exited ${code} or wrote a trace")
+endif()
+
 # Usage contract for the new flags: a negative --slow-ms is 2 (usage).
 execute_process(COMMAND ${GBIS_CLI} serve --replay ${WORK_DIR}/telem.ndjson
     --slow-ms -1

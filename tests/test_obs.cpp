@@ -376,50 +376,88 @@ TEST(MetricsJson, CarriesGaugesBlock) {
   check_balanced_json(json);
 }
 
-// --- Service slow-request trace --------------------------------------------
+// --- Service Chrome trace (completed span sets) ----------------------------
+
+SpanRec test_span(const char* name, double start, double duration) {
+  SpanRec rec;
+  rec.name = name;
+  rec.start_seconds = start;
+  rec.duration_seconds = duration;
+  return rec;
+}
 
 TEST(SvcTrace, EmitsRequestSpansWithPhaseSubSpans) {
-  std::vector<SvcSlowSample> samples;
-  SvcSlowSample s;
-  s.seq = 3;
-  s.id = "req-a";
-  s.method = "kl";
-  s.cache = "miss";
-  s.status = "ok";
-  s.submit_seconds = 0.010;
-  s.queue_seconds = 0.002;
-  s.solve_start_seconds = 0.012;
-  s.solve_seconds = 0.005;
-  s.total_seconds = 0.008;
-  samples.push_back(s);
-  SvcSlowSample hit;  // cache hit: no solve span
+  SpanSet solved;
+  solved.trace_id = 0xabc;
+  solved.seq = 3;
+  solved.id = "req \"a\"\nline";  // client-supplied: must be escaped
+  solved.op = "solve";
+  solved.status = "ok";
+  SpanRec pass = test_span("kl.pass", 0.012, 0.001);
+  pass.step = 2;
+  pass.has_step = true;
+  pass.value = 7;
+  pass.has_value = true;
+  solved.spans = {test_span("accept", 0.010, 0),
+                  test_span("queue", 0.010, 0.002),
+                  test_span("solve", 0.012, 0.005), pass,
+                  test_span("finalize", 0.017, 0.0005),
+                  test_span("write", 0.0175, 0.0005)};
+  SpanSet hit;  // cache hit: no solve span
+  hit.trace_id = 0xdef;
   hit.seq = 4;
   hit.id = "req-b";
-  hit.cache = "hit";
+  hit.op = "solve";
   hit.status = "ok";
-  hit.submit_seconds = 0.020;
-  hit.queue_seconds = 0.001;
-  hit.total_seconds = 0.0015;
-  samples.push_back(hit);
+  hit.spans = {test_span("accept", 0.020, 0), test_span("lookup", 0.020, 0.001),
+               test_span("write", 0.021, 0.0005)};
+  const std::vector<SpanSet> sets = {solved, hit};
 
   std::ostringstream out;
-  write_svc_trace(out, samples);
+  write_span_chrome_trace(out, sets);
   const std::string text = out.str();
   EXPECT_EQ(text.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0),
             0u);
   check_balanced_json(text);
-  EXPECT_NE(text.find("\"name\":\"req 3 req-a\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"req 4 req-b\""), std::string::npos);
-  EXPECT_NE(text.find("\"cat\":\"svc_phase\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"queue\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"solve\""), std::string::npos);
-  // The hit never solved, so exactly one solve sub-span in the file.
+  // One envelope per set: first span start to last span end, identity
+  // args, the id escaped (no raw quote or newline leaks into the file).
+  EXPECT_NE(text.find("{\"name\":\"request\",\"cat\":\"request\",\"ph\":\"X\","
+                      "\"ts\":10000,\"dur\":8000,\"pid\":0,\"tid\":0,"
+                      "\"args\":{\"trace\":\"0000000000000abc\",\"seq\":3,"
+                      "\"id\":\"req \\\"a\\\"\\nline\",\"op\":\"solve\","
+                      "\"status\":\"ok\"}}"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"ts\":20000,\"dur\":1500,\"pid\":0,\"tid\":0,"
+                      "\"args\":{\"trace\":\"0000000000000def\",\"seq\":4,"
+                      "\"id\":\"req-b\""),
+            std::string::npos);
+  // Then the set's spans, tagged with trace/seq and their payloads.
+  EXPECT_NE(text.find("{\"name\":\"kl.pass\",\"cat\":\"span\",\"ph\":\"X\","
+                      "\"ts\":12000,\"dur\":1000,\"pid\":0,\"tid\":0,"
+                      "\"args\":{\"trace\":\"0000000000000abc\",\"seq\":3,"
+                      "\"step\":2,\"cut\":7}}"),
+            std::string::npos);
+  // Every line between the brackets is exactly one event.
+  std::istringstream lines(text);
+  std::string line;
+  std::getline(lines, line);
+  std::size_t events = 0;
+  std::size_t envelopes = 0;
+  while (std::getline(lines, line) && line != "]}") {
+    EXPECT_EQ(line.rfind("{\"name\":", 0), 0u) << line;
+    ++events;
+    if (line.find("\"cat\":\"request\"") != std::string::npos) ++envelopes;
+  }
+  EXPECT_EQ(envelopes, 2u);
+  EXPECT_EQ(events, 2u + solved.spans.size() + hit.spans.size());
+  // The hit never solved, so exactly one solve span in the file.
   const std::size_t first = text.find("\"name\":\"solve\"");
+  ASSERT_NE(first, std::string::npos);
   EXPECT_EQ(text.find("\"name\":\"solve\"", first + 1), std::string::npos);
 
   std::ostringstream empty;
-  write_svc_trace(empty, {});
-  check_balanced_json(empty.str());
+  write_span_chrome_trace(empty, {});
+  EXPECT_EQ(empty.str(), "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n");
 }
 
 // --- Collection through the trial runner -----------------------------------
@@ -567,12 +605,30 @@ TEST(ConvergenceTrace, JsonlRoundTrips) {
 TEST(ConvergenceTrace, ParseRejectsMalformedLines) {
   EXPECT_THROW(parse_convergence_line("not json"), IoError);
   EXPECT_THROW(parse_convergence_line("{\"trial\":0}"), IoError);
-  EXPECT_THROW(
-      parse_convergence_line(
-          "{\"trial\":0,\"graph\":0,\"method\":\"KL\",\"start\":0,"
-          "\"step\":1,\"source\":\"volcano\",\"cut\":3,\"best\":3,"
-          "\"aux\":0}"),
-      IoError);
+  // A well-formed line with one field swapped in.
+  const auto line = [](const std::string& trial, const std::string& graph,
+                       const std::string& start, const std::string& source) {
+    return "{\"trial\":" + trial + ",\"graph\":" + graph +
+           ",\"method\":\"KL\",\"start\":" + start +
+           ",\"step\":1,\"source\":\"" + source +
+           "\",\"cut\":3,\"best\":3,\"aux\":0}";
+  };
+  EXPECT_NO_THROW(parse_convergence_line(line("0", "4294967295", "7", "kl")));
+  EXPECT_THROW(parse_convergence_line(line("0", "0", "0", "volcano")),
+               IoError);
+  // A negative trial must not wrap to 2^64-1.
+  EXPECT_THROW(parse_convergence_line(line("-1", "0", "0", "kl")), IoError);
+  // Graph and start are 32-bit: 2^32+1 must not truncate to 1.
+  EXPECT_THROW(parse_convergence_line(line("0", "4294967297", "0", "kl")),
+               IoError);
+  EXPECT_THROW(parse_convergence_line(line("0", "0", "4294967296", "kl")),
+               IoError);
+  try {
+    parse_convergence_line(line("0", "4294967297", "0", "kl"));
+  } catch (const IoError& error) {
+    EXPECT_NE(std::string(error.what()).find("\"graph\""), std::string::npos)
+        << error.what();
+  }
 }
 
 // --- Chrome trace ----------------------------------------------------------

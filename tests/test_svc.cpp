@@ -859,21 +859,29 @@ TEST(Service, SlowSamplingKeepsADeterministicBoundedSubset) {
           out);
     }
     service.drain(out);
-    EXPECT_LE(service.slow_samples().size(), 4u);
+    EXPECT_LE(service.slow_sets().size(), 4u);
     std::vector<std::uint64_t> seqs;
-    for (const SvcSlowSample& sample : service.slow_samples()) {
-      seqs.push_back(sample.seq);
-      EXPECT_EQ(sample.status, "ok");
+    for (const SpanSet& set : service.slow_sets()) {
+      seqs.push_back(set.seq);
+      EXPECT_EQ(set.op, "solve");
+      EXPECT_EQ(set.status, "ok");
+      // A kept set is the completed set the flight ring holds.
+      EXPECT_EQ(set.spans.empty() ? "" : set.spans.back().name, "write");
+      const auto& ring = service.flight().completed();
+      const auto same = std::find_if(ring.begin(), ring.end(),
+                                     [&](const SpanSet& held) {
+                                       return held.seq == set.seq;
+                                     });
+      EXPECT_TRUE(same != ring.end() && encode_span_set(*same, "done") ==
+                                            encode_span_set(set, "done"));
     }
     return seqs;
   };
   const auto one = seqs_at(1);
   const auto eight = seqs_at(8);
-  ASSERT_FALSE(one.empty());
+  // Ten offers into capacity 4: stride-doubling keeps ordinals 0, 4, 8.
+  EXPECT_EQ(one, (std::vector<std::uint64_t>{0, 4, 8}));
   EXPECT_EQ(one, eight);  // which requests survive is seq-determined
-  for (std::size_t i = 1; i < one.size(); ++i) {
-    EXPECT_LT(one[i - 1], one[i]);
-  }
 }
 
 TEST(Service, NegativeSlowMsDisablesSampling) {
@@ -882,7 +890,7 @@ TEST(Service, NegativeSlowMsDisablesSampling) {
   std::vector<std::string> out;
   service.submit_line(solve_line("a", g), out);
   service.drain(out);
-  EXPECT_TRUE(service.slow_samples().empty());
+  EXPECT_TRUE(service.slow_sets().empty());
 }
 
 TEST(SvcOptionsEnv, OverlaysTelemetryKnobsAndKeepsDefaultsOnMalformed) {

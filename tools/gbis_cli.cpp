@@ -665,8 +665,9 @@ int cmd_serve(const std::vector<std::string>& args, Cli& cli) {
   }
   if (meter != nullptr) meter->finish();
   write_stats_snapshot();
-  // Slow-request samples go to the same trace.json slot the campaign
-  // exporter uses (the two modes never share a --trace-dir run).
+  // The kept slow-request span sets are serve's Chrome trace, in the
+  // same trace.json slot the campaign exporter uses (the two modes
+  // never share a --trace-dir run).
   if (options.slow_ms >= 0 && !obs.trace_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(obs.trace_dir, ec);
@@ -678,18 +679,9 @@ int cmd_serve(const std::vector<std::string>& args, Cli& cli) {
         (std::filesystem::path(obs.trace_dir) / "trace.json").string();
     std::ofstream out(path, std::ios::trunc);
     if (!out) throw IoError("serve: cannot open " + path);
-    write_svc_trace(out, service.slow_samples());
+    write_span_chrome_trace(out, service.slow_sets());
     out.flush();
     if (!out) throw IoError("serve: trace write failed: " + path);
-    // Companion span dump: the flight ring's completed sets as Chrome
-    // trace events (spans.json next to trace.json).
-    const std::string spans_path =
-        (std::filesystem::path(obs.trace_dir) / "spans.json").string();
-    std::ofstream spans_out(spans_path, std::ios::trunc);
-    if (!spans_out) throw IoError("serve: cannot open " + spans_path);
-    write_span_chrome_trace(spans_out, service.flight().completed());
-    spans_out.flush();
-    if (!spans_out) throw IoError("serve: trace write failed: " + spans_path);
   }
   return stop.load(std::memory_order_acquire) ? kExitInterrupted : kExitOk;
 }
