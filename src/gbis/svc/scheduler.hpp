@@ -9,7 +9,8 @@
 //     time because a full queue has nowhere to hold it).
 //   * All cache lookups, cache inserts, and counter updates happen on
 //     the dispatching thread, in arrival order; the worker pool only
-//     ever runs the solve bodies. Combined with the per-request seeding
+//     ever runs the solve bodies (a cold request's trials as several
+//     lanes, reduced in trial order). Combined with the per-request seeding
 //     scheme (svc/policy), the response byte stream is a pure function
 //     of the request byte stream plus the service options, for ANY
 //     worker count — `gbis serve --replay` asserts exactly this.
@@ -70,7 +71,8 @@ struct SvcOptions {
   /// kBest races the historical portfolio, so pre-ladder request
   /// streams replay byte-identically under the default.
   QualityTier default_quality = QualityTier::kBest;
-  /// Worker threads for cross-request parallelism; 0 = hardware.
+  /// Worker threads, shared by the requests of a batch and by the
+  /// trial lanes of each cold request; 0 = hardware.
   unsigned threads = 0;
   /// Per-request JSONL access log destination (svc/access_log);
   /// "" = off. Opened append-mode at construction.
@@ -235,6 +237,11 @@ class Service {
   /// Plans a warm start for a cold solve leader (phase 1): lineage
   /// walk + partition projection onto `entry`'s graph.
   void plan_warm(Pending& entry);
+  /// Phase-2 body of a warm-start leader (one lane): fire the request's
+  /// faults, refine the projected partition, and fall back to the cold
+  /// policy when the quality guardrail trips.
+  PolicyResult solve_warm(Pending& entry, const PolicyRun::StartHook& inject,
+                          const std::atomic<bool>* stop);
   void finalize_solve(Pending& entry, const PolicyResult& result);
   void update_brownout();
   void note_solve_outcome(bool deadline_miss);

@@ -63,6 +63,13 @@ bool is_scalar_char(char c) {
          (c >= 'A' && c <= 'Z') || c == '+' || c == '-' || c == '.';
 }
 
+/// True when an integer parse stopped at a fraction or an exponent:
+/// "2.9" or "1e3" is a JSON number but not an integer, and reading its
+/// leading digits would silently truncate it.
+bool continues_number(const char* end) {
+  return *end == '.' || *end == 'e' || *end == 'E';
+}
+
 /// Consumes a strictly-grammatical JSON number; npos when the token
 /// does not match `-?int frac? exp?`.
 std::size_t skip_number_strict(const std::string& line, std::size_t i) {
@@ -310,7 +317,9 @@ bool json_parse_u64(const std::string& line, const std::string& key,
   char* end = nullptr;
   errno = 0;
   const std::uint64_t value = std::strtoull(line.c_str() + i, &end, 10);
-  if (end == line.c_str() + i || errno == ERANGE) return false;
+  if (end == line.c_str() + i || errno == ERANGE || continues_number(end)) {
+    return false;
+  }
   out = value;
   return true;
 }
@@ -323,7 +332,9 @@ bool json_parse_i64(const std::string& line, const std::string& key,
   char* end = nullptr;
   errno = 0;
   const std::int64_t value = std::strtoll(line.c_str() + i, &end, 10);
-  if (end == line.c_str() + i || errno == ERANGE) return false;
+  if (end == line.c_str() + i || errno == ERANGE || continues_number(end)) {
+    return false;
+  }
   out = value;
   return true;
 }

@@ -59,7 +59,9 @@ bool json_parse_string(const std::string& line, const std::string& key,
 /// token does not parse. `out` is untouched on failure. Range errors
 /// fail: a negative or overflowing value is rejected by json_parse_u64
 /// (no strtoull wraparound), an out-of-range magnitude by
-/// json_parse_i64, and a non-finite result by json_parse_double.
+/// json_parse_i64, and a non-finite result by json_parse_double. The
+/// integer parsers also reject a fraction or exponent ("2.9", "1e3")
+/// instead of truncating it.
 bool json_parse_u64(const std::string& line, const std::string& key,
                     std::uint64_t& out);
 bool json_parse_i64(const std::string& line, const std::string& key,

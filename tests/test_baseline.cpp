@@ -1,6 +1,10 @@
 // Tests for the baseline bisectors: random, greedy region growing, and
 // spectral.
+#include <cstdint>
+#include <queue>
 #include <stdexcept>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -89,6 +93,86 @@ TEST(Greedy, EdgelessAndTiny) {
   const Graph g0 = empty.build();
   const Bisection b0 = greedy_bisection(g0, rng);
   EXPECT_EQ(b0.cut(), 0);
+}
+
+// The greedy bisector as first written: a lazy-deletion max-heap over
+// frontier edges keyed by (attachment, -insertion_seq). The indexed
+// heap must absorb vertices in exactly this order.
+std::vector<std::uint8_t> lazy_heap_greedy_sides(const Graph& g, Rng& rng) {
+  const std::uint32_t n = g.num_vertices();
+  std::vector<std::uint8_t> sides(n, 1);
+  if (n == 0) return sides;
+  std::vector<Weight> attachment(n, 0);
+  std::vector<std::uint8_t> absorbed(n, 0);
+  using Entry = std::tuple<Weight, std::int64_t, Vertex>;
+  std::priority_queue<Entry> frontier;
+  std::int64_t seq = 0;
+  for (std::uint32_t grown = 0; grown < (n + 1) / 2; ++grown) {
+    Vertex v = n;
+    while (!frontier.empty()) {
+      const auto [key, neg_seq, candidate] = frontier.top();
+      frontier.pop();
+      if (!absorbed[candidate] && attachment[candidate] == key) {
+        v = candidate;
+        break;
+      }
+    }
+    if (v == n) {
+      do {
+        v = static_cast<Vertex>(rng.below(n));
+      } while (absorbed[v]);
+    }
+    absorbed[v] = 1;
+    sides[v] = 0;
+    const auto nbrs = g.neighbors(v);
+    const auto wts = g.edge_weights(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (!absorbed[nbrs[i]]) {
+        attachment[nbrs[i]] += wts[i];
+        frontier.emplace(attachment[nbrs[i]], -(++seq), nbrs[i]);
+      }
+    }
+  }
+  return sides;
+}
+
+TEST(Greedy, MatchesTheLazyHeapReference) {
+  Rng gen(12);
+  for (int round = 0; round < 40; ++round) {
+    const std::uint32_t n = 2 + static_cast<std::uint32_t>(gen.below(300));
+    // Sparse rounds leave the graph disconnected (random reseeding);
+    // weighted rounds make attachments differ beyond edge counts.
+    const double degree = round % 3 == 0 ? 1.0 : 4.0;
+    GraphBuilder builder(n);
+    const Graph shape = make_gnp(n, gnp_p_for_degree(n, degree), gen);
+    for (Vertex v = 0; v < n; ++v) {
+      for (const Vertex u : shape.neighbors(v)) {
+        if (u > v) {
+          builder.add_edge(v, u,
+                           round % 2 == 0 ? 1 : 1 + static_cast<Weight>(
+                                                        gen.below(5)));
+        }
+      }
+    }
+    const Graph g = builder.build();
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      Rng a(seed);
+      Rng b(seed);
+      const Bisection indexed = greedy_bisection(g, a);
+      EXPECT_EQ(std::vector<std::uint8_t>(indexed.sides().begin(),
+                                          indexed.sides().end()),
+                lazy_heap_greedy_sides(g, b))
+          << "round " << round << " seed " << seed;
+    }
+  }
+  for (const Graph& g : {make_ladder(40), make_grid(9, 7), make_path(31)}) {
+    Rng a(3);
+    Rng b(3);
+    const Bisection indexed = greedy_bisection(g, a);
+    EXPECT_EQ(std::vector<std::uint8_t>(indexed.sides().begin(),
+                                        indexed.sides().end()),
+              lazy_heap_greedy_sides(g, b));
+  }
 }
 
 TEST(Spectral, ExactOnWellSeparatedPlanted) {

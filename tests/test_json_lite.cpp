@@ -96,6 +96,24 @@ TEST(JsonNumbers, I64RangeIsEnforced) {
   EXPECT_FALSE(json_parse_i64(R"({"n":-9223372036854775809})", "n", value));
 }
 
+TEST(JsonNumbers, FractionOrExponentIsNotTruncatedToAnInteger) {
+  std::uint64_t u = 7;
+  EXPECT_FALSE(json_parse_u64(R"({"budget":2.9})", "budget", u));
+  EXPECT_FALSE(json_parse_u64(R"({"budget":4.0})", "budget", u));
+  EXPECT_FALSE(json_parse_u64(R"({"seed":1e3})", "seed", u));
+  EXPECT_FALSE(json_parse_u64(R"({"seed":1E3})", "seed", u));
+  EXPECT_EQ(u, 7u) << "out must be untouched on failure";
+  std::int64_t i = 7;
+  EXPECT_FALSE(json_parse_i64(R"({"cut":-3.5})", "cut", i));
+  EXPECT_FALSE(json_parse_i64(R"({"cut":2e1})", "cut", i));
+  EXPECT_EQ(i, 7);
+  // An integer followed by a delimiter still parses.
+  EXPECT_TRUE(json_parse_u64(R"({"budget":4,"seed":1})", "budget", u));
+  EXPECT_EQ(u, 4u);
+  EXPECT_TRUE(json_parse_i64(R"({"cut":-3})", "cut", i));
+  EXPECT_EQ(i, -3);
+}
+
 TEST(JsonNumbers, ExplicitPlusSignIsRejected) {
   std::uint64_t u = 0;
   std::int64_t i = 0;

@@ -618,6 +618,8 @@ TEST(ConvergenceTrace, ParseRejectsMalformedLines) {
                IoError);
   // A negative trial must not wrap to 2^64-1.
   EXPECT_THROW(parse_convergence_line(line("-1", "0", "0", "kl")), IoError);
+  // A fractional trial must not truncate to trial 1.
+  EXPECT_THROW(parse_convergence_line(line("1.5", "0", "0", "kl")), IoError);
   // Graph and start are 32-bit: 2^32+1 must not truncate to 1.
   EXPECT_THROW(parse_convergence_line(line("0", "4294967297", "0", "kl")),
                IoError);

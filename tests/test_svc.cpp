@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -281,6 +282,129 @@ TEST(Policy, StopFlagSkipsRemainingTrials) {
   EXPECT_EQ(result.skipped, 4u);
 }
 
+// Runs `spec` as `lanes` concurrent lanes of one PolicyRun, collecting
+// its trial spans into `spans`.
+PolicyResult run_lanes(const Graph& g, const PolicySpec& spec,
+                       std::uint32_t lanes, std::vector<SpanRec>& spans,
+                       const std::atomic<bool>* stop = nullptr) {
+  SpanBuffer buffer(&spans);
+  PolicyRun run(g, spec, 7, {}, /*keep_sides=*/true, lanes, stop, &buffer);
+  std::vector<std::thread> threads;
+  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+    threads.emplace_back([&run, lane] { run.run_lane(lane); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return run.reduce();
+}
+
+void expect_same_run(const PolicyResult& serial,
+                     const std::vector<SpanRec>& serial_spans,
+                     const PolicyResult& laned,
+                     const std::vector<SpanRec>& laned_spans,
+                     const std::string& where) {
+  EXPECT_EQ(laned.status, serial.status) << where;
+  EXPECT_EQ(laned.best_cut, serial.best_cut) << where;
+  EXPECT_EQ(laned.best_method, serial.best_method) << where;
+  EXPECT_EQ(laned.best_sides, serial.best_sides) << where;
+  EXPECT_EQ(laned.ok, serial.ok) << where;
+  EXPECT_EQ(laned.failed, serial.failed) << where;
+  EXPECT_EQ(laned.timed_out, serial.timed_out) << where;
+  EXPECT_EQ(laned.skipped, serial.skipped) << where;
+  EXPECT_EQ(laned.first_error, serial.first_error) << where;
+  EXPECT_EQ(laned.oom, serial.oom) << where;
+  ASSERT_EQ(laned_spans.size(), serial_spans.size()) << where;
+  for (std::size_t k = 0; k < serial_spans.size(); ++k) {
+    const SpanRec& a = serial_spans[k];
+    const SpanRec& b = laned_spans[k];
+    EXPECT_EQ(b.name, a.name) << where << " span " << k;
+    EXPECT_EQ(b.has_step, a.has_step) << where << " span " << k;
+    EXPECT_EQ(b.step, a.step) << where << " span " << k;
+    EXPECT_EQ(b.has_value, a.has_value) << where << " span " << k;
+    EXPECT_EQ(b.value, a.value) << where << " span " << k;
+    EXPECT_EQ(b.has_aux, a.has_aux) << where << " span " << k;
+    EXPECT_EQ(b.aux, a.aux) << where << " span " << k;
+  }
+}
+
+TEST(Policy, LanesMatchSerialRunPolicy) {
+  Rng rng(5);
+  const Graph graphs[] = {make_gnp(96, gnp_p_for_degree(96, 4.0), rng),
+                          make_grid(8, 8)};
+  PolicySpec best;
+  PolicySpec balanced;
+  balanced.quality = QualityTier::kBalanced;
+  PolicySpec kl;
+  kl.portfolio = false;
+  kl.method = Method::kKl;
+  const std::pair<const char*, PolicySpec> specs[] = {
+      {"best", best}, {"balanced", balanced}, {"kl", kl}};
+  for (std::size_t gi = 0; gi < 2; ++gi) {
+    const Graph& g = graphs[gi];
+    for (const auto& [name, base_spec] : specs) {
+      for (std::uint32_t budget = 1; budget <= 9; ++budget) {
+        PolicySpec spec = base_spec;
+        spec.budget = budget;
+        std::vector<SpanRec> serial_spans;
+        SpanBuffer buffer(&serial_spans);
+        const PolicyResult serial =
+            run_policy(g, spec, 7, {}, /*keep_sides=*/true, nullptr, &buffer);
+        ASSERT_EQ(serial.status, TrialStatus::kOk);
+        for (std::uint32_t lanes = 1; lanes <= 4; ++lanes) {
+          std::vector<SpanRec> spans;
+          const PolicyResult laned = run_lanes(g, spec, lanes, spans);
+          expect_same_run(serial, serial_spans, laned, spans,
+                          "graph " + std::to_string(gi) + " " + name +
+                              " budget " + std::to_string(budget) +
+                              " lanes " + std::to_string(lanes));
+        }
+      }
+    }
+  }
+
+  // Many cheap trials: lanes that run ahead of a slow earlier trial
+  // park their spans, and the span buffer decimates as it would serially.
+  PolicySpec fast;
+  fast.quality = QualityTier::kFast;
+  fast.budget = 64;
+  std::vector<SpanRec> serial_spans;
+  SpanBuffer buffer(&serial_spans);
+  const PolicyResult serial =
+      run_policy(graphs[0], fast, 7, {}, true, nullptr, &buffer);
+  std::vector<SpanRec> spans;
+  expect_same_run(serial, serial_spans, run_lanes(graphs[0], fast, 4, spans),
+                  spans, "fast budget 64 lanes 4");
+
+  // Trials no lane may run: an already-expired deadline times every
+  // trial out, a set stop flag skips every one.
+  PolicySpec expired = best;
+  expired.budget = 6;
+  expired.deadline_seconds = 1e-9;
+  for (std::uint32_t lanes : {1u, 3u}) {
+    std::vector<SpanRec> serial_none;
+    SpanBuffer none(&serial_none);
+    const PolicyResult timed =
+        run_policy(graphs[1], expired, 7, {}, true, nullptr, &none);
+    ASSERT_EQ(timed.status, TrialStatus::kTimedOut);
+    ASSERT_EQ(timed.timed_out, 6u);
+    std::vector<SpanRec> laned_none;
+    expect_same_run(timed, serial_none,
+                    run_lanes(graphs[1], expired, lanes, laned_none),
+                    laned_none, "expired deadline");
+  }
+  const std::atomic<bool> stop{true};
+  PolicySpec stopped = best;
+  stopped.budget = 5;
+  std::vector<SpanRec> serial_none;
+  SpanBuffer none(&serial_none);
+  const PolicyResult skipped =
+      run_policy(graphs[1], stopped, 7, {}, true, &stop, &none);
+  ASSERT_EQ(skipped.skipped, 5u);
+  std::vector<SpanRec> laned_none;
+  expect_same_run(skipped, serial_none,
+                  run_lanes(graphs[1], stopped, 4, laned_none, &stop),
+                  laned_none, "stop flag");
+}
+
 // --- Protocol --------------------------------------------------------------
 
 TEST(Protocol, ParsesSolveRequest) {
@@ -321,6 +445,24 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_FALSE(
       parse_request(R"({"id":"bad","op":"explode"})", request, error));
   EXPECT_EQ(request.id, "bad");
+}
+
+TEST(Protocol, FractionalOrExponentIntegersAreOutOfRange) {
+  // Integer fields must not truncate a JSON fraction or exponent: the
+  // budget also sets how many lanes a cold solve spreads over.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"op":"solve","path":"a","budget":2.9})",
+       "parse: budget out of range"},
+      {R"({"op":"solve","path":"a","budget":4.0})",
+       "parse: budget out of range"},
+      {R"({"op":"solve","path":"a","seed":1e3})", "parse: seed out of range"},
+  };
+  for (const auto& [line, reason] : cases) {
+    SvcRequest request;
+    std::string error;
+    EXPECT_FALSE(parse_request(line, request, error)) << line;
+    EXPECT_EQ(error, reason) << line;
+  }
 }
 
 TEST(Protocol, EncodeIsScannableByTheSharedParser) {
@@ -2651,6 +2793,31 @@ TEST(Service, TraceStreamIsThreadCountInvariant) {
   EXPECT_NE(trace_response.find("kl.pass"), std::string::npos)
       << trace_response;
   EXPECT_EQ(trace_response.find("_us"), std::string::npos);
+}
+
+TEST(Service, LoneRequestIsThreadCountInvariant) {
+  // One cold request on an idle pool spreads its trials over up to
+  // pool-size lanes; its answer and its trace export must not change.
+  Rng rng(9);
+  const Graph g = make_gnp(400, gnp_p_for_degree(400, 5.0), rng);
+  const std::vector<std::string> lines = {
+      solve_line("lone", g,
+                 ",\"quality\":\"best\",\"budget\":8,\"want_sides\":true"),
+      "{\"id\":\"t\",\"op\":\"trace\"}"};
+  const auto run = [&](unsigned threads) {
+    SvcOptions options = test_options(threads);
+    options.batch_size = 1;
+    return strip_timing(run_sequence(options, lines));
+  };
+  const auto one = run(1);
+  ASSERT_EQ(one.size(), 2u);
+  EXPECT_TRUE(one[0].starts_with("{\"id\":\"lone\",\"ok\":true")) << one[0];
+  std::uint64_t trials_ok = 0;
+  ASSERT_TRUE(json_parse_u64(one[0], "trials_ok", trials_ok));
+  EXPECT_EQ(trials_ok, 8u);
+  EXPECT_NE(one[1].find("trial"), std::string::npos) << one[1];
+  EXPECT_EQ(run(4), one);
+  EXPECT_EQ(run(8), one);
 }
 
 TEST(Service, TraceIdsPropagateThroughMutateWarmChains) {
