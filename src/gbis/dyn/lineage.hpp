@@ -11,10 +11,14 @@
 //     per-edge vertex maps project that partition down the chain
 //     (dyn/warm).
 //
-// Records restored from the journal carry an *empty* vertex map (maps
-// are too big to journal): such an edge still answers repeated mutates
-// but is non-projectable, so a warm walk stops there until the chain
-// is re-materialized and the map upgraded in place.
+// A vertex map is a pure function of the extended size and the sorted
+// deleted ids (dyn/mutation renumbers survivors compactly in ascending
+// old-id order), so a record stores exactly that: O(vdels) bytes, none
+// for a batch that deletes no vertex. The journal carries the same
+// facts, so restored records project like live ones. The one
+// exception: a record restored from an older journal line (written
+// before deleted ids were journaled) with vdels > 0 has an unknown
+// map, and a warm walk stops at that edge.
 //
 // First-wins everywhere: a child fingerprint keeps its first recorded
 // parent edge, and a (parent, batch) pair keeps its first child. Both
@@ -30,9 +34,44 @@
 #include <utility>
 #include <vector>
 
+#include "gbis/dyn/mutation.hpp"
 #include "gbis/graph/graph.hpp"
 
 namespace gbis {
+
+/// Extended-id -> child-id map of one lineage edge, held as the
+/// extended size (|V(parent)| + add_vertices) and the strictly
+/// increasing deleted extended ids. Extended id e maps to e minus the
+/// number of deleted ids below it, or to kDeletedVertex if deleted.
+class VertexMap {
+ public:
+  /// An unknown map: the edge answers identity queries but is
+  /// non-projectable.
+  VertexMap() = default;
+  /// `deleted` must be strictly increasing and below `extended`.
+  VertexMap(std::uint64_t extended, std::vector<Vertex> deleted)
+      : extended_(extended), deleted_(std::move(deleted)), known_(true) {}
+  /// From apply_mutation's dense map (implicit, so a MutationResult's
+  /// map assigns straight into a record): keeps the size and the
+  /// kDeletedVertex positions, which determine every other entry.
+  VertexMap(const std::vector<Vertex>& dense);
+
+  bool known() const { return known_; }
+  std::uint64_t extended() const { return extended_; }
+  std::uint64_t survivors() const { return extended_ - deleted_.size(); }
+  const std::vector<Vertex>& deleted() const { return deleted_; }
+  /// Child id of extended id `e` (< extended()), or kDeletedVertex.
+  Vertex operator[](std::uint64_t e) const;
+  /// Heap bytes held beyond sizeof(VertexMap).
+  std::uint64_t heap_bytes() const {
+    return deleted_.capacity() * sizeof(Vertex);
+  }
+
+ private:
+  std::uint64_t extended_ = 0;
+  std::vector<Vertex> deleted_;
+  bool known_ = false;
+};
 
 /// One lineage edge: child = parent + batch.
 struct LineageRecord {
@@ -48,10 +87,10 @@ struct LineageRecord {
   std::uint64_t parent_vertices = 0;
   std::uint64_t child_vertices = 0;
   std::uint64_t child_edges = 0;
-  /// Extended-id -> child-id map (mutation.hpp), size parent_vertices
-  /// + vadds. Empty when the record was restored from the journal —
-  /// the edge is then non-projectable until upgraded.
-  std::vector<Vertex> map;
+  /// Extended-id -> child-id map (extended size parent_vertices +
+  /// vadds, vdels deleted ids). Unknown only for a pre-id journal line
+  /// with vdels > 0; the edge is then non-projectable.
+  VertexMap map;
 };
 
 /// Bounded in-memory lineage store.
@@ -66,10 +105,8 @@ class SvcLineage {
   std::uint64_t size() const { return records_.size(); }
   bool full() const { return records_.size() >= max_records_; }
 
-  /// Inserts a record (first-wins, see file comment). When the child
-  /// is already known, the stored record survives — except that an
-  /// empty map is upgraded from an incoming non-empty one of matching
-  /// shape (a re-materialized chain heals a journal-restored edge).
+  /// Inserts a record (first-wins, see file comment): when the child
+  /// is already known, the stored record survives unchanged.
   /// Returns {stored record, true if newly inserted}. Insertion of a
   /// new record when full() is the caller's error (checked upstream);
   /// here it is refused by returning {nullptr, false}.
@@ -81,6 +118,11 @@ class SvcLineage {
   /// The edge for (parent, batch_hash), or nullptr.
   const LineageRecord* by_batch(std::uint64_t parent,
                                 std::uint64_t batch_hash) const;
+
+  /// Estimated live heap of the records and both indexes (the
+  /// `lineage_bytes` stats key). O(records + total vdels): independent
+  /// of graph size.
+  std::uint64_t bytes() const;
 
   /// Chain depth of `fingerprint`: 0 for unknown/root graphs.
   std::uint32_t depth_of(std::uint64_t fingerprint) const;
@@ -108,6 +150,7 @@ class SvcLineage {
   std::deque<LineageRecord> records_;
   std::unordered_map<std::uint64_t, std::size_t> by_child_;
   std::unordered_map<BatchKey, std::size_t, BatchKeyHash> by_batch_;
+  std::uint64_t map_heap_bytes_ = 0;  // sum of records' map heap_bytes()
 };
 
 }  // namespace gbis

@@ -85,8 +85,8 @@ MutationResult apply_mutation(const Graph& parent,
     deleted.insert(key);
   }
 
-  // Vertex deletions, then the compact ascending renumbering the
-  // lineage vertex map records.
+  // Vertex deletions, then the compact ascending renumbering (which a
+  // lineage VertexMap derives back from the deleted ids alone).
   std::vector<std::uint8_t> dead(extended, 0);
   for (const std::uint64_t id : batch.del_vertices) {
     const Vertex v = check(id);

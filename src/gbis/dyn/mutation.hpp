@@ -15,8 +15,9 @@
 //      an error;
 //   4. `del_vertices` are removed together with their incident edges,
 //      and the survivors are renumbered *compactly in ascending old-id
-//      order* (the deterministic renumbering the lineage vertex map
-//      records). Deleting the same vertex twice is an error.
+//      order* — so the whole vertex map is a function of the extended
+//      size and the deleted ids, which is all a lineage record keeps
+//      (dyn/lineage). Deleting the same vertex twice is an error.
 //
 // Errors throw std::invalid_argument whose what() is the stable
 // "mutate: ..." suffix the service puts on the wire. apply_mutation is
@@ -72,8 +73,8 @@ struct MutationBatch {
 struct MutationResult {
   Graph child;
   /// Extended-id -> child-id map, size |V(parent)| + add_vertices;
-  /// kDeletedVertex marks non-survivors. Projection of a parent
-  /// partition onto the child walks this map (dyn/lineage).
+  /// kDeletedVertex marks non-survivors. A lineage record keeps it
+  /// as a VertexMap (dyn/lineage).
   std::vector<Vertex> map;
 };
 

@@ -1,5 +1,6 @@
 #include "gbis/dyn/warm.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -22,7 +23,7 @@ bool plan_warm_start(const SvcLineage& lineage, std::uint64_t fingerprint,
   for (std::uint32_t steps = 0; steps <= lineage.max_depth() + 1; ++steps) {
     const LineageRecord* edge = lineage.by_child(current);
     if (edge == nullptr) return false;   // root reached, no cached ancestor
-    if (edge->map.empty()) return false; // journal-restored: non-projectable
+    if (!edge->map.known()) return false;  // pre-id journal line
     edits += edge->edit_distance;
     if (edits > max_edits) return false;
     walked.push_back(edge);
@@ -41,24 +42,32 @@ bool project_sides(const WarmPlan& plan,
                    const std::vector<std::uint8_t>& ancestor_sides,
                    std::vector<std::uint8_t>& out) {
   if (plan.chain.empty()) return false;
+  if (std::any_of(ancestor_sides.begin(), ancestor_sides.end(),
+                  [](std::uint8_t side) { return side > kUnplacedSide; })) {
+    return false;
+  }
   std::vector<std::uint8_t> current = ancestor_sides;
   for (const LineageRecord* edge : plan.chain) {
-    if (current.size() != edge->parent_vertices ||
-        edge->map.size() != edge->parent_vertices + edge->vadds) {
+    const VertexMap& map = edge->map;
+    if (!map.known() || current.size() != edge->parent_vertices ||
+        map.extended() != edge->parent_vertices + edge->vadds ||
+        map.survivors() != edge->child_vertices) {
       return false;
     }
+    // One merge pass over the parent range: the runs between deleted
+    // ids keep their order and close up, which is the compact
+    // ascending renumbering. Chain-born vertices (extended ids past
+    // the parent) renumber after every parent survivor and stay
+    // kUnplacedSide.
     std::vector<std::uint8_t> next(edge->child_vertices, kUnplacedSide);
-    for (std::size_t e = 0; e < edge->map.size(); ++e) {
-      const Vertex child_id = edge->map[e];
-      if (child_id == kDeletedVertex) continue;
-      if (child_id >= next.size()) return false;
-      if (e < edge->parent_vertices) {
-        const std::uint8_t side = current[e];
-        if (side > kUnplacedSide) return false;
-        next[child_id] = side;
-      }
-      // else: born along the chain, stays kUnplacedSide.
+    auto to = next.begin();
+    std::size_t from = 0;
+    for (const Vertex dead : map.deleted()) {
+      if (dead >= edge->parent_vertices) break;
+      to = std::copy(current.begin() + from, current.begin() + dead, to);
+      from = std::size_t{dead} + 1;
     }
+    std::copy(current.begin() + from, current.end(), to);
     current = std::move(next);
   }
   out = std::move(current);

@@ -5,11 +5,12 @@
 // Pipeline (docs/SERVICE.md "Warm-start solves"):
 //   1. plan  — walk the lineage rootward from the solve target until a
 //      fingerprint with a cached partition appears; give up past a
-//      cumulative-edit or non-projectable (map-less) edge (dispatch
+//      cumulative-edit or non-projectable (unknown-map) edge (dispatch
 //      thread, cheap).
 //   2. project — push the ancestor's side vector down the chain
-//      through each edge's vertex map; vertices born along the chain
-//      get the kUnplacedSide sentinel (dispatch thread, O(chain · V)).
+//      through each edge's vertex map, derived from its deleted ids in
+//      one merge pass; vertices born along the chain get the
+//      kUnplacedSide sentinel (dispatch thread, O(chain · V)).
 //   3. solve — greedy-place the sentinels, balance-repair, bounded KL
 //      (worker thread, the only expensive part).
 //

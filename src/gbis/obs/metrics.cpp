@@ -91,6 +91,7 @@ constexpr const char* kGaugeNames[kNumGauges] = {
     "svc.graphstore.bytes",
     "svc.graphstore.entries",
     "svc.flight.ring",
+    "svc.lineage.bytes",
 };
 
 constexpr const char* kPhaseNames[kNumPhases] = {

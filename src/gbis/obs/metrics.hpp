@@ -143,6 +143,7 @@ enum class Gauge : std::uint8_t {
   kSvcGraphStoreBytes,    ///< "svc.graphstore.bytes" (resident graph bytes)
   kSvcGraphStoreEntries,  ///< "svc.graphstore.entries" (resident graphs)
   kSvcFlightRing,         ///< "svc.flight.ring" (completed sets held)
+  kSvcLineageBytes,       ///< "svc.lineage.bytes" (lineage store heap)
   kCount
 };
 inline constexpr std::size_t kNumGauges =

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <system_error>
 #include <utility>
+#include <vector>
 
 #include "gbis/methods/registry.hpp"
 #include "gbis/svc/fingerprint.hpp"
@@ -155,6 +156,18 @@ std::string SvcCacheStore::encode_lineage(const LineageRecord& record) {
   line += ",\"pv\":" + std::to_string(record.parent_vertices);
   line += ",\"vertices\":" + std::to_string(record.child_vertices);
   line += ",\"edges\":" + std::to_string(record.child_edges);
+  // Emitted only when vertices were deleted: every other record keeps
+  // its pre-id bytes and restores projectable from pv and vadds.
+  if (record.map.known() && !record.map.deleted().empty()) {
+    char sep = '[';
+    line += ",\"vdel_ids\":";
+    for (const Vertex id : record.map.deleted()) {
+      line += sep;
+      line += std::to_string(id);
+      sep = ',';
+    }
+    line += ']';
+  }
   line += ",\"crc\":\"" + to_hex16(text_crc(line)) + "\"}";
   return line;
 }
@@ -200,9 +213,36 @@ bool SvcCacheStore::decode_lineage(const std::string& line,
     return false;
   }
   record.depth = static_cast<std::uint32_t>(depth);
-  // Maps are never journaled: the restored edge answers identity
-  // queries but cannot project a partition (dyn/lineage file comment).
-  record.map.clear();
+  // Shape facts of every real derivation (dyn/mutation); a line that
+  // breaks one is damaged even under a valid CRC.
+  const std::uint64_t extended = record.parent_vertices + record.vadds;
+  if (extended < record.parent_vertices || extended >= kDeletedVertex ||
+      record.vdels > extended ||
+      record.child_vertices != extended - record.vdels) {
+    return false;
+  }
+  if (json_find_value(line, "vdel_ids") != std::string::npos) {
+    std::vector<std::uint64_t> ids;
+    if (!json_parse_u64_array(line, "vdel_ids", ids, record.vdels) ||
+        ids.size() != record.vdels) {
+      return false;
+    }
+    std::vector<Vertex> deleted;
+    deleted.reserve(ids.size());
+    for (const std::uint64_t id : ids) {
+      if (id >= extended || (!deleted.empty() && id <= deleted.back())) {
+        return false;
+      }
+      deleted.push_back(static_cast<Vertex>(id));
+    }
+    record.map = VertexMap(extended, std::move(deleted));
+  } else if (record.vdels == 0) {
+    record.map = VertexMap(extended, {});
+  } else {
+    // Written before deleted ids were journaled: identity only, and
+    // the edge is non-projectable (dyn/lineage file comment).
+    record.map = VertexMap();
+  }
   return true;
 }
 

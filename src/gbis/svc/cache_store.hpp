@@ -11,7 +11,8 @@
 //    "degraded":N,"warm":1,"sides":"0110...","crc":"<hex16>"} <- entry
 //   {"lineage":1,"child":"<hex16>","parent":"<hex16>","batch":"<hex16>",
 //    "adds":N,"dels":N,"vadds":N,"vdels":N,"edit":N,"depth":N,"pv":N,
-//    "vertices":N,"edges":N,"crc":"<hex16>"}                  <- lineage
+//    "vertices":N,"edges":N[,"vdel_ids":[N,...]],
+//    "crc":"<hex16>"}                                         <- lineage
 //
 // Every entry carries the full solve-identity key (the same
 // SvcCacheKey the live cache uses, graph fingerprint included) plus
@@ -19,10 +20,12 @@
 // of its own line. The optional "warm" field (emitted only when set,
 // so version-1 cold entries are byte-identical under version 2) marks
 // a lineage warm-start result. Lineage lines journal the dynamic-graph
-// subsystem's derivation edges (dyn/lineage) — identity only, no
-// vertex maps — so a warm restart can answer repeated mutates
-// byte-identically; restored edges are non-projectable until the chain
-// is re-materialized. A crash mid-append leaves a torn tail; the CRC
+// subsystem's derivation edges (dyn/lineage), so a warm restart can
+// answer repeated mutates byte-identically, and warm-start from them:
+// a vertex map is a pure function of pv + vadds and the sorted deleted
+// ids, which the optional "vdel_ids" field carries when vdels > 0. A
+// line written before that field existed with vdels > 0 restores
+// non-projectable. A crash mid-append leaves a torn tail; the CRC
 // (or the structural gate) rejects it, and restore falls back to the
 // longest valid prefix — corruption never crashes the service and a
 // damaged line is never served. Version-1 files (no lineage lines, no
@@ -102,8 +105,9 @@ class SvcCacheStore {
   static bool decode_entry(const std::string& line, SvcCacheKey& key,
                            SvcCacheValue& value);
   static std::string encode_lineage(const LineageRecord& record);
-  /// Decoded records carry an empty vertex map (maps are not
-  /// journaled): valid for identity, non-projectable for warm starts.
+  /// Rejects (as damaged) a CRC-valid line whose shape no derivation
+  /// has: "vdel_ids" not exactly vdels strictly increasing ids below
+  /// pv + vadds, or vertices != pv + vadds - vdels.
   static bool decode_lineage(const std::string& line, LineageRecord& record);
   /// True when `line` is a lineage line (top-level "lineage" key) —
   /// how restore dispatches between the two line kinds.

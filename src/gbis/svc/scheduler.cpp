@@ -569,15 +569,14 @@ void Service::prepare_mutate(Pending& entry) {
     reject("io: unknown graph \"" + to_hex16(parent_fp) + "\"");
     return;
   }
-  if (known != nullptr && !known->map.empty() &&
-      graph_store_.contains(known->child)) {
+  if (known != nullptr && graph_store_.contains(known->child)) {
     // Fully-materialized repeat: nothing to recompute.
     answer(*known);
     return;
   }
   if (known == nullptr) {
     // Only a *new* derivation grows the lineage; repeats (known !=
-    // nullptr) re-apply solely to heal maps / re-materialize the child.
+    // nullptr) re-apply solely to re-materialize an evicted child.
     const std::uint32_t parent_depth = lineage_.depth_of(parent_fp);
     if (parent_depth >= lineage_.max_depth()) {
       reject("mutate: lineage depth limit (" +
@@ -841,6 +840,9 @@ void Service::fill_stats(SvcResponse& response) const {
       {"flight_capacity", options_.flight_ring},
       {"flight_inflight",
        static_cast<std::uint64_t>(flight_->inflight_count())},
+      // Lineage memory (appended to v5): records plus both indexes,
+      // O(records + deleted vertices) whatever the graph sizes.
+      {"lineage_bytes", lineage_.bytes()},
   };
   const struct {
     const char* prefix;
@@ -941,6 +943,8 @@ TrialMetrics Service::metrics_snapshot() const {
       static_cast<std::int64_t>(graphs.bytes);
   snapshot.gauges[static_cast<std::size_t>(Gauge::kSvcGraphStoreEntries)] =
       static_cast<std::int64_t>(graphs.entries);
+  snapshot.gauges[static_cast<std::size_t>(Gauge::kSvcLineageBytes)] =
+      static_cast<std::int64_t>(lineage_.bytes());
   return snapshot;
 }
 
@@ -1357,6 +1361,8 @@ void Service::process_batch(std::vector<std::string>& out,
       static_cast<std::int64_t>(graphs.bytes);
   metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcGraphStoreEntries)] =
       static_cast<std::int64_t>(graphs.entries);
+  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcLineageBytes)] =
+      static_cast<std::int64_t>(lineage_.bytes());
   metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcQueueDepth)] = 0;
   metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcInflight)] = 0;
 }

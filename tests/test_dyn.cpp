@@ -3,6 +3,7 @@
 // fingerprint lineage DAG (dyn/lineage), and the warm-start pipeline
 // (dyn/warm). The service-level behavior of the `mutate` op lives in
 // test_svc.cpp; this file pins the layer underneath it.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -14,9 +15,11 @@
 #include "gbis/dyn/lineage.hpp"
 #include "gbis/dyn/mutation.hpp"
 #include "gbis/dyn/warm.hpp"
+#include "gbis/gen/gnp.hpp"
 #include "gbis/gen/special.hpp"
 #include "gbis/graph/builder.hpp"
 #include "gbis/partition/bisection.hpp"
+#include "gbis/rng/rng.hpp"
 #include "gbis/svc/fingerprint.hpp"
 #include "gbis/util/deadline.hpp"
 
@@ -278,18 +281,25 @@ TEST(SvcLineage, FirstRecordWins) {
   EXPECT_EQ(lineage.size(), 1u);
 }
 
-TEST(SvcLineage, EmptyMapHealsFromMatchingShape) {
+TEST(SvcLineage, RepeatInsertNeverRewritesTheStoredRecord) {
   SvcLineage lineage(8, 16);
-  // A journal-restored record: identity only, no map.
-  lineage.insert(make_record(100, 200, 7, 1, {}));
-  EXPECT_TRUE(lineage.by_child(200)->map.empty());
-  // Re-materializing the chain heals it in place (parent_vertices +
-  // vadds = 4 + 0 entries).
-  const auto [stored, inserted] =
-      lineage.insert(make_record(100, 200, 7, 1, {0, 1, 2, 3}));
-  EXPECT_FALSE(inserted);  // not a new record
-  EXPECT_EQ(stored->map.size(), 4u);
-  EXPECT_FALSE(lineage.by_child(200)->map.empty());
+  // A record restored from a pre-id journal line with vdels > 0:
+  // identity only, its map unknown.
+  LineageRecord restored = make_record(100, 200, 7, 1);
+  restored.vdels = 1;
+  restored.child_vertices = 3;
+  restored.map = VertexMap();
+  lineage.insert(std::move(restored));
+  // Re-materializing the same derivation finds the child known and
+  // leaves the stored record as it was: no map is healed in place.
+  LineageRecord live = make_record(100, 200, 7, 1, {0, kDeletedVertex, 1, 2});
+  live.vdels = 1;
+  live.child_vertices = 3;
+  const auto [stored, inserted] = lineage.insert(std::move(live));
+  EXPECT_FALSE(inserted);
+  ASSERT_EQ(stored, lineage.by_child(200));
+  EXPECT_FALSE(stored->map.known());
+  EXPECT_EQ(lineage.size(), 1u);
 }
 
 TEST(SvcLineage, FullStoreRefusesNewRecords) {
@@ -335,7 +345,7 @@ TEST(WarmStart, PlanWalksToTheNearestCachedAncestor) {
   EXPECT_EQ(plan.chain.size(), 1u);
 }
 
-TEST(WarmStart, PlanGivesUpPastEditBudgetOrMaplessEdge) {
+TEST(WarmStart, PlanGivesUpPastEditBudgetOrUnknownMapEdge) {
   SvcLineage lineage(8, 16);
   lineage.insert(make_record(100, 200, 1, 1));
   lineage.insert(make_record(200, 300, 2, 2));
@@ -343,11 +353,21 @@ TEST(WarmStart, PlanGivesUpPastEditBudgetOrMaplessEdge) {
   // Cumulative edits (2) exceed the budget (1).
   EXPECT_FALSE(plan_warm_start(
       lineage, 300, 1, [](std::uint64_t fp) { return fp == 100; }, plan));
-  // A journal-restored (map-less) edge is non-projectable.
+  // An edge whose map is unknown (a pre-id journal line with vdels >
+  // 0) is non-projectable.
   SvcLineage restored(8, 16);
-  restored.insert(make_record(100, 200, 1, 1, {}));
+  LineageRecord unknown = make_record(100, 200, 1, 1);
+  unknown.map = VertexMap();
+  restored.insert(std::move(unknown));
   EXPECT_FALSE(plan_warm_start(
       restored, 200, 100, [](std::uint64_t fp) { return fp == 100; }, plan));
+  // A map derived from no deleted ids is projectable.
+  SvcLineage derived(8, 16);
+  LineageRecord identity = make_record(100, 200, 1, 1);
+  identity.map = VertexMap(4, {});
+  derived.insert(std::move(identity));
+  EXPECT_TRUE(plan_warm_start(
+      derived, 200, 100, [](std::uint64_t fp) { return fp == 100; }, plan));
   // No cached ancestor anywhere: the walk reaches the root and fails.
   EXPECT_FALSE(plan_warm_start(
       lineage, 300, 100, [](std::uint64_t) { return false; }, plan));
@@ -365,7 +385,7 @@ TEST(WarmStart, ProjectSidesFollowsMapsAndMarksNewVertices) {
   edge.parent_vertices = 4;
   edge.vadds = 1;
   edge.child_vertices = 4;
-  edge.map = {0, kDeletedVertex, 1, 2, 3};
+  edge.map = std::vector<Vertex>{0, kDeletedVertex, 1, 2, 3};
   const LineageRecord* stored = lineage.insert(std::move(edge)).first;
   WarmPlan plan;
   plan.ancestor = 100;
@@ -411,6 +431,221 @@ TEST(WarmStart, WarmSolveRejectsWrongSeedShape) {
   const Graph g = make_path(4);
   EXPECT_THROW(warm_solve(g, std::vector<std::uint8_t>(3, 0), 4, Deadline()),
                std::invalid_argument);
+}
+
+// --- Derived vertex maps --------------------------------------------------
+
+struct BatchShape {
+  std::uint64_t add_edges = 0;
+  std::uint64_t del_edges = 0;
+  std::uint64_t add_vertices = 0;
+  std::uint64_t del_parent = 0;  // deletions of parent vertices
+  std::uint64_t del_born = 0;    // deletions of batch-added vertices
+};
+
+// A valid batch of (at most) `shape` over `g`; vertex deletions come
+// out in random order, as a client may send them.
+MutationBatch random_batch(const Graph& g, const BatchShape& shape, Rng& rng) {
+  MutationBatch batch;
+  const std::uint64_t n = g.num_vertices();
+  const std::uint64_t extended = n + shape.add_vertices;
+  batch.add_vertices = shape.add_vertices;
+  std::vector<std::uint64_t> added;
+  for (std::uint64_t tries = 0;
+       added.size() < 2 * shape.add_edges && tries < 64 && extended >= 2;
+       ++tries) {
+    const std::uint64_t u = rng.below(extended), v = rng.below(extended);
+    if (u == v || (u < n && v < n && g.has_edge(static_cast<Vertex>(u),
+                                                static_cast<Vertex>(v)))) {
+      continue;
+    }
+    bool repeat = false;
+    for (std::size_t i = 0; i < added.size(); i += 2) {
+      repeat |= (added[i] == u && added[i + 1] == v) ||
+                (added[i] == v && added[i + 1] == u);
+    }
+    if (repeat) continue;
+    added.push_back(u);
+    added.push_back(v);
+  }
+  batch.add_edges = added;
+  for (std::uint64_t tries = 0;
+       batch.del_edges.size() < 2 * shape.del_edges && tries < 64 && n > 0;
+       ++tries) {
+    const Vertex u = static_cast<Vertex>(rng.below(n));
+    if (g.degree(u) == 0) continue;
+    const Vertex v = g.neighbors(u)[rng.below(g.degree(u))];
+    bool repeat = false;
+    for (std::size_t i = 0; i < batch.del_edges.size(); i += 2) {
+      repeat |= (batch.del_edges[i] == u && batch.del_edges[i + 1] == v) ||
+                (batch.del_edges[i] == v && batch.del_edges[i + 1] == u);
+    }
+    if (repeat) continue;
+    batch.del_edges.push_back(u);
+    batch.del_edges.push_back(v);
+  }
+  std::vector<std::uint64_t> parent_ids(n), born_ids(shape.add_vertices);
+  for (std::uint64_t v = 0; v < n; ++v) parent_ids[v] = v;
+  for (std::uint64_t v = 0; v < shape.add_vertices; ++v) born_ids[v] = n + v;
+  std::shuffle(parent_ids.begin(), parent_ids.end(), rng);
+  std::shuffle(born_ids.begin(), born_ids.end(), rng);
+  parent_ids.resize(std::min(shape.del_parent, n));
+  born_ids.resize(std::min(shape.del_born, shape.add_vertices));
+  batch.del_vertices = parent_ids;
+  batch.del_vertices.insert(batch.del_vertices.end(), born_ids.begin(),
+                            born_ids.end());
+  std::shuffle(batch.del_vertices.begin(), batch.del_vertices.end(), rng);
+  return batch;
+}
+
+BatchShape random_shape(Rng& rng, std::uint64_t round) {
+  BatchShape shape;
+  shape.add_edges = rng.below(3);
+  shape.del_edges = rng.below(3);
+  shape.add_vertices = rng.below(5);
+  if (round % 3 != 0) {  // every third batch deletes no vertex
+    shape.del_parent = rng.below(4);
+    shape.del_born = rng.below(shape.add_vertices + 1);
+  }
+  return shape;
+}
+
+Graph random_graph(std::uint32_t n, Rng& rng) {
+  return make_gnp(n, n < 8 ? 0.5 : gnp_p_for_degree(n, 4.0), rng);
+}
+
+// The pre-derivation projection: walk each dense map entry by entry.
+std::vector<std::uint8_t> dense_projection(
+    const std::vector<std::vector<Vertex>>& maps,
+    const std::vector<std::uint64_t>& parent_sizes,
+    const std::vector<std::uint64_t>& child_sizes,
+    std::vector<std::uint8_t> sides) {
+  for (std::size_t k = 0; k < maps.size(); ++k) {
+    std::vector<std::uint8_t> next(child_sizes[k], kUnplacedSide);
+    for (std::size_t e = 0; e < parent_sizes[k]; ++e) {
+      if (maps[k][e] != kDeletedVertex) next[maps[k][e]] = sides[e];
+    }
+    sides = std::move(next);
+  }
+  return sides;
+}
+
+TEST(VertexMapProperty, DerivedMapEqualsTheDenseMap) {
+  Rng rng(20261020);
+  for (const std::uint32_t n : {2u, 9u, 60u, 400u}) {
+    const Graph g = random_graph(n, rng);
+    for (std::uint64_t round = 0; round < 40; ++round) {
+      const MutationBatch batch = random_batch(g, random_shape(rng, round), rng);
+      const MutationResult result = apply_mutation(g, batch);
+      // Both ways a record gets its map: converted from the dense one
+      // (a live mutate) and derived from the sorted ids (the journal).
+      const VertexMap converted = result.map;
+      std::vector<Vertex> ids(batch.del_vertices.begin(),
+                              batch.del_vertices.end());
+      std::sort(ids.begin(), ids.end());
+      const VertexMap derived(n + batch.add_vertices, ids);
+      ASSERT_TRUE(converted.known());
+      EXPECT_EQ(converted.deleted(), ids) << "n=" << n << " round=" << round;
+      EXPECT_EQ(derived.extended(), result.map.size());
+      EXPECT_EQ(derived.survivors(), result.child.num_vertices());
+      for (std::uint64_t e = 0; e < result.map.size(); ++e) {
+        ASSERT_EQ(converted[e], result.map[e])
+            << "n=" << n << " round=" << round << " e=" << e;
+        ASSERT_EQ(derived[e], result.map[e])
+            << "n=" << n << " round=" << round << " e=" << e;
+      }
+    }
+  }
+}
+
+TEST(VertexMapProperty, ChainProjectionMatchesTheDenseReference) {
+  Rng rng(7);
+  for (const std::uint32_t n : {9u, 60u, 400u}) {
+    for (std::uint64_t chain_no = 0; chain_no < 12; ++chain_no) {
+      Graph graph = random_graph(n, rng);
+      const std::uint64_t root = graph_fingerprint(graph);
+      const std::uint64_t length = 3 + rng.below(3);
+      SvcLineage lineage(8, 16);
+      WarmPlan plan;
+      plan.ancestor = root;
+      std::vector<std::vector<Vertex>> maps;
+      std::vector<std::uint64_t> parent_sizes, child_sizes;
+      std::uint64_t parent = root;
+      for (std::uint64_t k = 0; k < length; ++k) {
+        const MutationBatch batch =
+            random_batch(graph, random_shape(rng, chain_no + k), rng);
+        MutationResult result = apply_mutation(graph, batch);
+        LineageRecord record;
+        record.parent = parent;
+        // Chain position keeps children distinct even when a batch
+        // nets out to the parent graph.
+        record.child = graph_fingerprint(result.child) ^ (k + 1);
+        record.batch_hash = batch.hash();
+        record.vadds = batch.add_vertices;
+        record.vdels = batch.del_vertices.size();
+        record.depth = static_cast<std::uint32_t>(k + 1);
+        record.parent_vertices = graph.num_vertices();
+        record.child_vertices = result.child.num_vertices();
+        maps.push_back(result.map);
+        parent_sizes.push_back(record.parent_vertices);
+        child_sizes.push_back(record.child_vertices);
+        record.map = std::move(result.map);
+        const auto [stored, inserted] = lineage.insert(std::move(record));
+        ASSERT_TRUE(inserted);
+        plan.chain.push_back(stored);
+        parent = stored->child;
+        graph = std::move(result.child);
+      }
+      std::vector<std::uint8_t> sides(n);
+      for (std::uint8_t& side : sides) side = rng.below(2) != 0 ? 1 : 0;
+      std::vector<std::uint8_t> out;
+      ASSERT_TRUE(project_sides(plan, sides, out));
+      EXPECT_EQ(out, dense_projection(maps, parent_sizes, child_sizes, sides))
+          << "n=" << n << " chain=" << chain_no;
+      EXPECT_EQ(out.size(), graph.num_vertices());
+    }
+  }
+}
+
+TEST(SvcLineage, BytesDependOnRecordsNotOnGraphSize) {
+  // The same small batch shape chained over a 5k- and a 50k-vertex
+  // parent: the store's footprint is O(records + deleted ids).
+  constexpr std::uint64_t kRecords = 24;
+  constexpr std::uint64_t kBytesPerRecord = 512;
+  BatchShape shape;
+  shape.add_edges = 2;
+  shape.del_edges = 2;
+  shape.add_vertices = 2;
+  shape.del_parent = 1;
+  shape.del_born = 1;
+  std::vector<std::uint64_t> bytes;
+  for (const std::uint32_t n : {5000u, 50000u}) {
+    Rng rng(n);
+    Graph graph = make_gnp(n, gnp_p_for_degree(n, 5.0), rng);
+    SvcLineage lineage(kRecords, kRecords);
+    std::uint64_t parent = graph_fingerprint(graph);
+    for (std::uint64_t k = 0; k < kRecords; ++k) {
+      const MutationBatch batch = random_batch(graph, shape, rng);
+      ASSERT_EQ(batch.del_vertices.size(), 2u);
+      MutationResult result = apply_mutation(graph, batch);
+      LineageRecord record;
+      record.parent = parent;
+      record.child = graph_fingerprint(result.child);
+      record.batch_hash = batch.hash();
+      record.vadds = batch.add_vertices;
+      record.vdels = batch.del_vertices.size();
+      record.depth = static_cast<std::uint32_t>(k + 1);
+      record.parent_vertices = graph.num_vertices();
+      record.child_vertices = result.child.num_vertices();
+      record.map = std::move(result.map);
+      parent = record.child;
+      ASSERT_TRUE(lineage.insert(std::move(record)).second);
+      graph = std::move(result.child);
+    }
+    EXPECT_LE(lineage.bytes(), kBytesPerRecord * kRecords) << "n=" << n;
+    bytes.push_back(lineage.bytes());
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 }  // namespace

@@ -27,6 +27,9 @@
 
 #include <gtest/gtest.h>
 
+#include "gbis/dyn/lineage.hpp"
+#include "gbis/dyn/mutation.hpp"
+#include "gbis/dyn/warm.hpp"
 #include "gbis/gen/gnp.hpp"
 #include "gbis/gen/special.hpp"
 #include "gbis/graph/builder.hpp"
@@ -2599,6 +2602,240 @@ TEST(Service, RestoredLineageHealsAndWarmStartsAfterRematerialization) {
   bool is_warm = false;
   ASSERT_TRUE(json_parse_bool(out[0], "warm", is_warm)) << out[0];
   EXPECT_TRUE(is_warm);
+}
+
+// A lineage record of applying `batch` to `parent` (as prepare_mutate
+// builds one).
+LineageRecord lineage_of(std::uint64_t parent_fp, const Graph& parent,
+                         const MutationBatch& batch, MutationResult& result,
+                         std::uint32_t depth) {
+  LineageRecord record;
+  record.parent = parent_fp;
+  record.child = graph_fingerprint(result.child);
+  record.batch_hash = batch.hash();
+  record.adds = batch.add_edges.size() / 2;
+  record.dels = batch.del_edges.size() / 2;
+  record.vadds = batch.add_vertices;
+  record.vdels = batch.del_vertices.size();
+  record.edit_distance = batch.edit_distance();
+  record.depth = depth;
+  record.parent_vertices = parent.num_vertices();
+  record.child_vertices = result.child.num_vertices();
+  record.child_edges = result.child.num_edges();
+  record.map = std::move(result.map);
+  return record;
+}
+
+// An 8-vertex parent and one batch that adds three vertices and
+// deletes parent vertex 2 and added vertex 9: pv 8, vadds 3, vdels 2.
+LineageRecord deleting_record() {
+  const Graph g = make_grid(2, 4);
+  MutationBatch batch;
+  batch.add_vertices = 3;
+  batch.add_edges = {8, 0, 10, 7};
+  batch.del_vertices = {9, 2};
+  MutationResult result = apply_mutation(g, batch);
+  return lineage_of(graph_fingerprint(g), g, batch, result, 1);
+}
+
+TEST(SvcCacheStore, LineageLinesJournalDeletedIdsOnlyWhenThereAreAny) {
+  const LineageRecord deleting = deleting_record();
+  const std::string line = SvcCacheStore::encode_lineage(deleting);
+  EXPECT_NE(line.find(",\"vdel_ids\":[2,9],\"crc\":"), std::string::npos)
+      << line;
+  LineageRecord decoded;
+  ASSERT_TRUE(SvcCacheStore::decode_lineage(line, decoded));
+  ASSERT_TRUE(decoded.map.known());
+  EXPECT_EQ(decoded.map.extended(), 11u);
+  EXPECT_EQ(decoded.map.deleted(), deleting.map.deleted());
+  EXPECT_EQ(SvcCacheStore::encode_lineage(decoded), line);
+
+  // No deletions: the line keeps its pre-id bytes, and the map is
+  // derived from pv and vadds alone.
+  const Graph g = make_grid(2, 4);
+  MutationBatch batch;
+  batch.add_vertices = 1;
+  batch.add_edges = {8, 3};
+  MutationResult result = apply_mutation(g, batch);
+  const LineageRecord adding =
+      lineage_of(graph_fingerprint(g), g, batch, result, 1);
+  const std::string plain = SvcCacheStore::encode_lineage(adding);
+  EXPECT_EQ(plain.find("vdel_ids"), std::string::npos) << plain;
+  ASSERT_TRUE(SvcCacheStore::decode_lineage(plain, decoded));
+  ASSERT_TRUE(decoded.map.known());
+  EXPECT_EQ(decoded.map.extended(), 9u);
+  EXPECT_TRUE(decoded.map.deleted().empty());
+}
+
+TEST(SvcCacheStore, MalformedLineageShapesAreADamagedTail) {
+  struct Case {
+    const char* name;
+    LineageRecord record;  // encoded with a valid CRC
+  };
+  std::vector<Case> corpus;
+  const auto with_ids = [](std::vector<Vertex> ids) {
+    LineageRecord record = deleting_record();
+    record.map = VertexMap(record.map.extended(), std::move(ids));
+    return record;
+  };
+  corpus.push_back({"too_few_ids", with_ids({2})});
+  corpus.push_back({"too_many_ids", with_ids({2, 5, 9})});
+  corpus.push_back({"repeated_id", with_ids({2, 2})});
+  corpus.push_back({"decreasing_ids", with_ids({9, 2})});
+  corpus.push_back({"id_past_extended_range", with_ids({2, 11})});
+  LineageRecord vertices = deleting_record();
+  vertices.child_vertices += 1;
+  corpus.push_back({"vertices_not_pv_plus_vadds_minus_vdels", vertices});
+  LineageRecord overdeleted = deleting_record();
+  overdeleted.map = VertexMap();  // pre-id shape: no ids to count
+  overdeleted.vdels = 12;
+  corpus.push_back({"more_vdels_than_vertices", overdeleted});
+
+  const LineageRecord good = deleting_record();
+  for (const Case& test_case : corpus) {
+    const std::string bad = SvcCacheStore::encode_lineage(test_case.record);
+    LineageRecord decoded;
+    EXPECT_FALSE(SvcCacheStore::decode_lineage(bad, decoded)) << bad;
+    const std::string path = temp_journal(std::string("svc_lineage_") +
+                                          test_case.name + ".jsonl");
+    {
+      std::ofstream out(path);
+      out << SvcCacheStore::header_line() << '\n'
+          << SvcCacheStore::encode_lineage(good) << '\n'
+          << bad << '\n'
+          << SvcCacheStore::encode_entry(store_key(1), store_value(10))
+          << '\n';
+    }
+    SvcResultCache cache(1 << 20);
+    SvcLineage lineage(64, 1024);
+    SvcCacheStore store(path);
+    SvcCacheRestore report;
+    ASSERT_TRUE(store.open_and_restore(cache, &lineage, report))
+        << test_case.name;
+    // The valid prefix restores; the bad line and everything after it
+    // are dropped and rewritten away, never served.
+    EXPECT_EQ(report.lineage_restored, 1u) << test_case.name;
+    EXPECT_EQ(report.entries_restored, 0u) << test_case.name;
+    EXPECT_EQ(report.lines_dropped, 2u) << test_case.name;
+    EXPECT_TRUE(report.compacted) << test_case.name;
+    EXPECT_EQ(lineage.size(), 1u) << test_case.name;
+    ASSERT_NE(lineage.by_child(good.child), nullptr) << test_case.name;
+    SvcResultCache again(1 << 20);
+    SvcLineage reread_lineage(64, 1024);
+    SvcCacheStore reread(path);
+    SvcCacheRestore second;
+    ASSERT_TRUE(reread.open_and_restore(again, &reread_lineage, second))
+        << test_case.name;
+    EXPECT_EQ(second.lineage_restored, 1u) << test_case.name;
+    EXPECT_EQ(second.lines_dropped, 0u) << test_case.name;
+  }
+}
+
+TEST(SvcCacheStore, RestoredLineageProjectsLikeTheLiveRecords) {
+  // A three-edge chain over a 6x6 grid: no deletions, parent and
+  // batch-added deletions, edge edits only.
+  Graph graph = make_grid(6, 6);
+  const std::uint64_t root = graph_fingerprint(graph);
+  std::vector<MutationBatch> batches(3);
+  batches[0].add_vertices = 2;
+  batches[0].add_edges = {36, 0, 37, 35};
+  batches[1].add_vertices = 1;
+  batches[1].add_edges = {38, 20};
+  batches[1].del_vertices = {37, 4, 12};
+  batches[2].add_edges = {0, 20};
+  batches[2].del_edges = {0, 1};
+  SvcLineage live(64, 1024);
+  const std::string path = temp_journal("svc_lineage_project.jsonl");
+  {
+    SvcResultCache cache(1 << 20);
+    SvcCacheStore store(path);
+    SvcCacheRestore report;
+    ASSERT_TRUE(store.open_and_restore(cache, &live, report));
+    std::uint64_t parent = root;
+    for (std::size_t k = 0; k < batches.size(); ++k) {
+      MutationResult result = apply_mutation(graph, batches[k]);
+      LineageRecord record = lineage_of(parent, graph, batches[k], result,
+                                        static_cast<std::uint32_t>(k + 1));
+      parent = record.child;
+      const LineageRecord* stored = live.insert(std::move(record)).first;
+      EXPECT_GT(store.append_lineage(*stored), 0u);
+      graph = std::move(result.child);
+    }
+  }
+  const std::uint64_t target = graph_fingerprint(graph);
+  SvcResultCache cache(1 << 20);
+  SvcLineage restored(64, 1024);
+  SvcCacheStore store(path);
+  SvcCacheRestore report;
+  ASSERT_TRUE(store.open_and_restore(cache, &restored, report));
+  ASSERT_EQ(report.lineage_restored, 3u);
+
+  std::vector<std::uint8_t> sides(36);
+  for (std::size_t v = 0; v < sides.size(); ++v) sides[v] = (v * 7 % 5) & 1;
+  const auto is_root = [root](std::uint64_t fp) { return fp == root; };
+  WarmPlan live_plan, restored_plan;
+  ASSERT_TRUE(plan_warm_start(live, target, 100, is_root, live_plan));
+  ASSERT_TRUE(plan_warm_start(restored, target, 100, is_root, restored_plan));
+  ASSERT_EQ(restored_plan.chain.size(), 3u);
+  std::vector<std::uint8_t> from_live, from_restored;
+  ASSERT_TRUE(project_sides(live_plan, sides, from_live));
+  ASSERT_TRUE(project_sides(restored_plan, sides, from_restored));
+  EXPECT_EQ(from_restored, from_live);
+  EXPECT_EQ(from_live.size(), graph.num_vertices());
+}
+
+TEST(SvcCacheStore, PreIdLineageLineWithDeletionsRestoresNonProjectable) {
+  // The line a journal written before deleted ids were journaled holds
+  // for a vertex-deleting mutate: every field but "vdel_ids".
+  const LineageRecord record = deleting_record();
+  std::string line = "{\"lineage\":1";
+  line += ",\"child\":\"" + to_hex16(record.child) + "\"";
+  line += ",\"parent\":\"" + to_hex16(record.parent) + "\"";
+  line += ",\"batch\":\"" + to_hex16(record.batch_hash) + "\"";
+  line += ",\"adds\":2,\"dels\":0,\"vadds\":3,\"vdels\":2,\"edit\":7";
+  line += ",\"depth\":1,\"pv\":8,\"vertices\":9";
+  line += ",\"edges\":" + std::to_string(record.child_edges);
+  line += ",\"crc\":\"" + to_hex16(SvcCacheStore::text_crc(line)) + "\"}";
+  LineageRecord decoded;
+  ASSERT_TRUE(SvcCacheStore::decode_lineage(line, decoded));
+  EXPECT_FALSE(decoded.map.known());
+  EXPECT_EQ(decoded.child, record.child);
+  // Compaction writes it back unchanged.
+  EXPECT_EQ(SvcCacheStore::encode_lineage(decoded), line);
+  SvcLineage lineage(64, 1024);
+  lineage.insert(decoded);
+  WarmPlan plan;
+  EXPECT_FALSE(plan_warm_start(
+      lineage, record.child, 100,
+      [&record](std::uint64_t fp) { return fp == record.parent; }, plan));
+}
+
+TEST(Service, StatsAndPromReportLineageBytes) {
+  const Graph g = make_grid(4, 4);
+  SvcOptions options = test_options();
+  options.batch_size = 1;
+  Service service(options);
+  std::vector<std::string> out;
+  for (const std::string& line :
+       {std::string("{\"id\":\"s0\",\"op\":\"stats\"}"),
+        mutate_inline_line("m", g, ",\"add_vertices\":1"),
+        std::string("{\"id\":\"s1\",\"op\":\"stats\"}"),
+        std::string("{\"id\":\"p\",\"op\":\"stats\",\"format\":\"prom\"}")}) {
+    service.submit_line(line, out);
+    service.drain(out);
+  }
+  ASSERT_EQ(out.size(), 4u);
+  std::uint64_t before = 0, after = 0;
+  ASSERT_TRUE(json_parse_u64(out[0], "lineage_bytes", before)) << out[0];
+  ASSERT_TRUE(json_parse_u64(out[2], "lineage_bytes", after)) << out[2];
+  EXPECT_GT(after, before);
+  std::string prom;
+  ASSERT_TRUE(json_parse_string(out[3], "prom", prom));
+  EXPECT_NE(prom.find("# TYPE gbis_svc_lineage_bytes gauge\n"
+                      "gbis_svc_lineage_bytes " +
+                      std::to_string(after) + "\n"),
+            std::string::npos)
+      << prom;
 }
 
 TEST(Service, StatsV3ReportsDynamicGraphCounters) {
